@@ -31,7 +31,7 @@ def main() -> int:
     seed = [] if ns.seed is None else ["--seed", str(ns.seed)]
     batteries = [
         ["verify-bounds", "--trials", str(ns.trials)],
-        ["lemma21", "--p", "1", "--kappa", "1", "--eps-max", "1/e", "--eps-count", "8"],
+        ["lemma21"],
         ["stdnorm-check", "--check-paths", str(ns.check_paths)],
         ["transform-check", *GENTLE, "--dt", str(1.0 / 4096)],
         ["variation-check", *GENTLE, "--dt", str(2.0 / 32768)],

@@ -36,7 +36,6 @@ from .solvers import (
     solve_cascade,
     solve_em,
     solve_variation,
-    transform_solution,
 )
 from .bounds import (
     DomainError,
@@ -116,7 +115,6 @@ __all__ = [
     "stdnormality_test",
     "sup_bounds",
     "sweep_epsilon",
-    "transform_solution",
     "__version__",
 ]
 

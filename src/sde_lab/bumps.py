@@ -99,11 +99,26 @@ def make_normalized_bump(a: float, b: float) -> BumpFunction:
     return BumpFunction(a=float(a), b=float(b), eta=float(eta))
 
 
+def _grid_refined_max(values_at_n) -> float:
+    """Refine a grid maximum values_at_n(n) over n points.
+
+    Starts from 10^4 points and doubles until the value moves by a relative
+    1e-6 or less.
+    """
+    n = 10_000
+    cur = values_at_n(n)
+    while True:
+        n *= 2
+        nxt = values_at_n(n)
+        if abs(nxt - cur) <= 1e-6 * max(abs(cur), 1e-300):
+            return float(nxt)
+        cur = nxt
+
+
 def sup_bounds(f: BumpFunction, g: BumpFunction) -> float:
     """Common envelope constant max(1, sup|f|, sup|f'|, sup|g'|, sup|g''|).
 
-    Grid maximum over both supports, starting from 10^4 points and doubling
-    until the value moves by a relative 1e-6 or less.
+    Grid maximum over both supports, refined by _grid_refined_max.
     """
 
     def grid_max(n):
@@ -117,23 +132,11 @@ def sup_bounds(f: BumpFunction, g: BumpFunction) -> float:
             np.max(np.abs(eval(g, tg, 2))),
         )
 
-    n = 10_000
-    cur = grid_max(n)
-    while True:
-        n *= 2
-        nxt = grid_max(n)
-        if abs(nxt - cur) <= 1e-6 * abs(cur):
-            return float(nxt)
-        cur = nxt
+    return _grid_refined_max(grid_max)
 
 
 def sup_abs(bf: BumpFunction, order: int = 0) -> float:
     """Grid-refined sup of |derivative of given order|, same policy as sup_bounds."""
-    n = 10_000
-    cur = float(np.max(np.abs(eval(bf, np.linspace(bf.a, bf.b, n), order))))
-    while True:
-        n *= 2
-        nxt = float(np.max(np.abs(eval(bf, np.linspace(bf.a, bf.b, n), order))))
-        if abs(nxt - cur) <= 1e-6 * max(abs(cur), 1e-300):
-            return nxt
-        cur = nxt
+    return _grid_refined_max(
+        lambda n: float(np.max(np.abs(eval(bf, np.linspace(bf.a, bf.b, n), order))))
+    )

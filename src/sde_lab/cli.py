@@ -176,7 +176,7 @@ def cmd_lemma21(config: ExperimentConfig, args) -> int:
     ladder = [eps_max * math.exp(-i) for i in range(args.eps_count)]
     reports = [
         bounds_mod.check_lemma21(
-            bounds_mod.Lemma21Params(p=args.p, kappa=args.kappa, eps=e)
+            bounds_mod.Lemma21Params(p=args.lemma_p, kappa=args.kappa, eps=e)
         )
         for e in ladder
     ]
@@ -208,15 +208,9 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     try:
         if config.solver == "cascade":
             y0 = gm.Binv @ (x0 - params.v)
-            Y = solvers.solve_cascade(
-                gm.base, paths_mod.BrownianPath(grid, W.values[:, :1]), y0[:5]
-            )
-            # constant trailing coordinates transported exactly
-            full = np.tile(y0, (grid.steps + 1, 1))
-            full[:, :5] = Y.states
-            X = solvers.transform_solution(
-                solvers.SolutionPath(grid, full, full[0].copy()), gm.B, params.v
-            )
+            w = W.values[None, :, 0]
+            states = solvers.solve_cascade_general(gm, grid, w, y0)[0]
+            X = solvers.SolutionPath(grid, states, states[0])
         else:
             X = solvers.solve_em(gm, W, x0, taming=config.taming)
     except solvers.SolverExplosionError as exc:
@@ -309,11 +303,7 @@ def transform_equivalence_report(
     x0 = gm.B @ y0 + params.v
 
     wf = paths_mod.brownian_values_batch(fine, params.m, seed, 0, n_paths)
-    Y5 = solvers.solve_cascade_batch(gm.base, fine, wf[:, :, 0], y0[:5])
-    ref = np.empty((n_paths, fine.steps + 1, params.d))
-    ref[:] = y0
-    ref[:, :, :5] = Y5
-    ref = ref @ gm.B.T + params.v  # exact transport of the cascade solution
+    ref = solvers.solve_cascade_general(gm, fine, wf[:, :, 0], y0)
     em_f = solvers.solve_em_batch(gm, fine, wf, x0, taming=False)
     em_c = solvers.solve_em_batch(gm, coarse, wf[:, ::2], x0, taming=False)
     per_path_fine = np.linalg.norm(ref - em_f, axis=2).max(axis=1)
@@ -408,19 +398,8 @@ def run(command: str, config: ExperimentConfig, args=None) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if args is None:
-        args = argparse.Namespace(**_DEFAULT_ARGS.get(command, {}))
+        args = _build_parser().parse_args([command])  # the subcommand's defaults
     return _COMMANDS[command](config, args)
-
-
-_DEFAULT_ARGS = {
-    "verify-bounds": {"trials": 100_000, "radius": 5.0, "z_radius": 5.0},
-    "lemma21": {"p": 1.0, "kappa": 1.0, "eps_max": "1/e", "eps_count": 8},
-    "stdnorm-check": {"check_paths": 100_000},
-    "simulate": {"path_index": 0, "x0_eps": 0.05},
-    "sweep": {},
-    "transform-check": {"paths": 50},
-    "variation-check": {"paths": 20, "fd_eps": 1e-5},
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -463,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lemma21", help="normal-expectation lower bound ladder")
     common(sp)
-    sp.add_argument("--p", type=float, default=1.0)
+    # own dest: the common --model-p already owns "p"
+    sp.add_argument("--p", type=float, default=1.0, dest="lemma_p")
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--eps-max", default="1/e", dest="eps_max")
     sp.add_argument("--eps-count", type=int, default=8, dest="eps_count")

@@ -87,8 +87,7 @@ class AxisAlignedModel:
     f: BumpFunction  # support (tau, T)
     g: BumpFunction  # support (0, tau)
     C: float  # max(1, sup|f|, sup|f'|, sup|g'|, sup|g''|)
-    varkappa: float  # growth/Lyapunov envelope constant, = kappa5
-    kappa5: float  # 2 + 8(n+1)C
+    varkappa: float  # growth/Lyapunov envelope constant 2 + 8(n+1)C
     rho: np.ndarray = field(repr=False)  # (0,1,0,0,0)
 
 
@@ -119,11 +118,9 @@ def build_axis_aligned(params: ModelParams) -> AxisAlignedModel:
     f = bumps.make_normalized_bump(params.tau, params.T)
     g = bumps.make_normalized_bump(0.0, params.tau)
     C = bumps.sup_bounds(f, g)
-    kappa5 = 2.0 + 8.0 * (params.n + 1) * C
+    varkappa = 2.0 + 8.0 * (params.n + 1) * C
     rho = _readonly([0.0, 1.0, 0.0, 0.0, 0.0])
-    return AxisAlignedModel(
-        params=params, f=f, g=g, C=C, varkappa=kappa5, kappa5=kappa5, rho=rho
-    )
+    return AxisAlignedModel(params=params, f=f, g=g, C=C, varkappa=varkappa, rho=rho)
 
 
 def eval_nu(model: AxisAlignedModel, x) -> np.ndarray:
@@ -214,21 +211,6 @@ def embedded_V_grad(model: AxisAlignedModel, x) -> np.ndarray:
     return out
 
 
-def embed_to_dim(model: AxisAlignedModel):
-    """Return (drift, V, sigma0) closures acting on R^d, d = params.d."""
-    d = model.params.d
-    sigma0 = np.zeros(d)
-    sigma0[1] = 1.0
-
-    def drift(x):
-        return embedded_nu(model, x)
-
-    def V(x):
-        return embedded_V(model, x)
-
-    return drift, V, _readonly(sigma0)
-
-
 def householder_to(target: np.ndarray) -> np.ndarray:
     """Orthogonal matrix mapping the 4th unit vector to the given unit vector.
 
@@ -256,9 +238,10 @@ def build_general(model: AxisAlignedModel) -> GeneralModel:
     A = householder_to(delta / dnorm)
     B = dnorm * A
     Binv = A.T / dnorm  # A orthogonal => B^{-1} = A^T / ||delta||
-    _, _, sigma0 = embed_to_dim(model)
+    e2 = np.zeros(params.d)
+    e2[1] = 1.0  # the cascade's noise enters the second coordinate only
     sigma = np.zeros((params.d, params.m))
-    sigma[:, 0] = B @ sigma0
+    sigma[:, 0] = B @ e2
     vk = model.varkappa
     vnorm = float(np.linalg.norm(params.v))
     # kappa = 2 vk (1 + 2^vk max(1, ||v||^vk) / ||delta||), assembled in logs

@@ -22,7 +22,7 @@ from . import bounds as bounds_mod, bumps
 from .model import AxisAlignedModel, GeneralModel
 from .paths import TimeGrid, brownian_values_batch
 from .reports import CheckReport
-from .solvers import _first_bad_steps, solve_cascade_batch, solve_em_batch
+from .solvers import _first_bad_steps, _x3_trapezoid, solve_cascade_batch, solve_em_batch
 
 _CHUNK = 1024  # performance knob only; results are chunk-size independent
 
@@ -284,13 +284,12 @@ def fit_exponent(result: SweepResult, window: int = 2) -> np.ndarray:
 
 
 def _x3_at_tau_chunk(grid, gp, k_tau, seed, lo, hi, out):
-    # trapezoidal X3(tau) = int_0^tau g'(s) W(s) ds from the origin; matches
-    # the cascade solver's quadrature bit for bit
-    w = brownian_values_batch(grid, 1, seed, lo, hi - lo)[:, :, 0]
-    integrand = gp[None, :] * w
-    out[lo:hi] = 0.5 * grid.dt * np.sum(
-        integrand[:, :k_tau] + integrand[:, 1 : k_tau + 1], axis=1
-    )
+    # trapezoidal X3(tau) = int_0^tau g'(s) W(s) ds from the origin; the
+    # cascade solver's own quadrature, so it matches the solver bit for bit
+    w = brownian_values_batch(grid, 1, seed, lo, hi - lo)[:, : k_tau + 1, 0]
+    x3 = np.empty_like(w)
+    _x3_trapezoid(gp[: k_tau + 1], w, grid.dt, 0.0, x3)
+    out[lo:hi] = x3[:, -1]
 
 
 def stdnormality_test(

@@ -1,5 +1,6 @@
-"""Path solvers: structure-exploiting cascade, generic (tamed) Euler scheme,
-first-variation integrator, and the affine transport of solutions.
+"""Path solvers: structure-exploiting cascade and its affine transport into
+R^d (solve_cascade_general), generic (tamed) Euler scheme, first-variation
+integrator.
 
 The cascade solver mirrors the triangular structure of the drift: the first
 two coordinates are exact, the third is a quadrature of the second, and the
@@ -43,10 +44,10 @@ class SolutionPath:
         s = self.states
         if s.ndim != 2 or s.shape[0] != self.grid.steps + 1:
             raise ValueError(f"states shape {s.shape} does not match grid")
+        if not np.all(np.isfinite(s)):
+            raise SolverExplosionError(int(_first_bad_steps(s[None, ...])[0]))
         if not np.array_equal(s[0], np.asarray(self.initial, dtype=float)):
             raise ValueError("states[0] must equal the initial value")
-        if not np.all(np.isfinite(s)):
-            raise SolverExplosionError(_first_bad_steps(s[None, ...])[0])
 
     @property
     def d(self) -> int:
@@ -68,6 +69,19 @@ def _expand_x0(x0, n_paths: int, dim: int) -> np.ndarray:
     if x0.shape != (n_paths, dim):
         raise ValueError(f"initial value shape {x0.shape}, expected ({n_paths},{dim})")
     return x0
+
+
+def _x3_trapezoid(gp, x2, dt: float, x3_0, out: np.ndarray) -> None:
+    """X3 = x3_0 + trapezoidal cumulative integral of g'(X1) X2, into out.
+
+    gp and x2 broadcast to out's shape (P, steps+1); x3_0 is a scalar or a
+    (P, 1) column. Shared by the cascade solver and the X3(tau) normality
+    check, which must agree bit for bit.
+    """
+    integrand = gp * x2
+    out[:, :1] = x3_0
+    np.cumsum(0.5 * dt * (integrand[:, :-1] + integrand[:, 1:]), axis=1, out=out[:, 1:])
+    out[:, 1:] += x3_0
 
 
 def solve_cascade_batch(
@@ -101,13 +115,7 @@ def solve_cascade_batch(
         fv = bumps.eval(axis.f, out[:, :, 0], 0)
         fm = bumps.eval(axis.f, out[:, :-1, 0] + 0.5 * dt, 0)
 
-    # X3: trapezoidal cumulative of g'(X1) X2
-    integrand = gp * out[:, :, 1]
-    out[:, 0, 2] = x0[:, 2]
-    np.cumsum(
-        0.5 * dt * (integrand[:, :-1] + integrand[:, 1:]), axis=1, out=out[:, 1:, 2]
-    )
-    out[:, 1:, 2] += x0[:, 2, None]
+    _x3_trapezoid(gp, out[:, :, 1], dt, x0[:, 2, None], out[:, :, 2])
 
     # (X4, X5): RK4 on X4' = f X4 X5, X5' = f ((X3)^n - X4^2), X3 interpolated
     x3n = out[:, :, 2] ** n
@@ -150,19 +158,28 @@ def solve_cascade(axis: AxisAlignedModel, W: BrownianPath, x0) -> SolutionPath:
         raise ValueError(f"cascade solver needs a scalar path, got m={W.m}")
     x0 = np.asarray(x0, dtype=float)
     states = solve_cascade_batch(axis, W.grid, W.values[:, 0][None, :], x0)[0]
-    bad = _first_bad_steps(states[None, ...])[0]
-    if bad >= 0:
-        raise SolverExplosionError(int(bad))
     return SolutionPath(grid=W.grid, states=states, initial=x0)
 
 
+def solve_cascade_general(
+    gm: GeneralModel, grid: TimeGrid, w: np.ndarray, y0
+) -> np.ndarray:
+    """Cascade states carried into R^d by the affine map x = B y + v.
+
+    y0 is one start in cascade coordinates, of length d: the cascade runs
+    from y0[:5] along the scalar paths w, shape (P, steps+1), and the
+    coordinates beyond the fifth are constants of the motion. Returns
+    (P, steps+1, d); non-finite values are left in place.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    y = np.empty(w.shape + (gm.params.d,))
+    y[:] = y0
+    y[:, :, :5] = solve_cascade_batch(gm.base, grid, w, y0[:5])
+    return y @ gm.B.T + gm.params.v
+
+
 def solve_em_batch(
-    gm: GeneralModel,
-    grid: TimeGrid,
-    w: np.ndarray,
-    x0,
-    taming: bool = True,
-    drift_override=None,
+    gm: GeneralModel, grid: TimeGrid, w: np.ndarray, x0, taming: bool = True
 ) -> np.ndarray:
     """Euler(-tamed) states for a batch of m-dimensional Brownian paths.
 
@@ -174,9 +191,6 @@ def solve_em_batch(
     dt = grid.dt
     d = gm.params.d
     x0 = _expand_x0(x0, P, d)
-    drift = drift_override if drift_override is not None else (
-        lambda y: model_mod.eval_mu(gm, y)
-    )
     sigmaT = gm.sigma.T  # (m, d)
 
     out = np.empty((P, K1, d))
@@ -184,7 +198,7 @@ def solve_em_batch(
     out[:, 0] = cur
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            mu = drift(cur)
+            mu = model_mod.eval_mu(gm, cur)
             if taming:
                 denom = 1.0 + dt * np.linalg.norm(mu, axis=-1, keepdims=True)
                 step = mu * (dt / denom)
@@ -195,19 +209,12 @@ def solve_em_batch(
     return out
 
 
-def solve_em(
-    gm: GeneralModel, W: BrownianPath, x0, taming: bool = True, drift_override=None
-) -> SolutionPath:
+def solve_em(gm: GeneralModel, W: BrownianPath, x0, taming: bool = True) -> SolutionPath:
     """Euler(-tamed) solution along one Brownian path."""
     if W.m != gm.params.m:
         raise ValueError(f"path has m={W.m}, model expects {gm.params.m}")
     x0 = np.asarray(x0, dtype=float)
-    states = solve_em_batch(
-        gm, W.grid, W.values[None, ...], x0, taming=taming, drift_override=drift_override
-    )[0]
-    bad = _first_bad_steps(states[None, ...])[0]
-    if bad >= 0:
-        raise SolverExplosionError(int(bad))
+    states = solve_em_batch(gm, W.grid, W.values[None, ...], x0, taming=taming)[0]
     return SolutionPath(grid=W.grid, states=states, initial=x0)
 
 
@@ -251,18 +258,7 @@ def solve_variation(gm: GeneralModel, X: SolutionPath, h) -> SolutionPath:
     """First-variation path along one solution path."""
     h = np.asarray(h, dtype=float)
     states = solve_variation_batch(gm, X.grid, X.states[None, ...], h)[0]
-    bad = _first_bad_steps(states[None, ...])[0]
-    if bad >= 0:
-        raise SolverExplosionError(int(bad))
     return SolutionPath(grid=X.grid, states=states, initial=h)
-
-
-def transform_solution(Y: SolutionPath, B: np.ndarray, v: np.ndarray) -> SolutionPath:
-    """Affine transport X(t) = B Y(t) + v of a whole path."""
-    B = np.asarray(B, dtype=float)
-    v = np.asarray(v, dtype=float)
-    states = Y.states @ B.T + v
-    return SolutionPath(grid=Y.grid, states=states, initial=states[0].copy())
 
 
 def write_solution_csv(path: SolutionPath, fileobj) -> None:

@@ -157,6 +157,29 @@ def test_lemma21_ladder_passes(capsys):
     assert report["grid_size"] == 8
 
 
+def test_lemma21_runs_with_parser_defaults(capsys):
+    code, out, err = run_main(["lemma21"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["check"] == "lemma21_ladder"
+    assert report["grid_size"] == 8
+    # run() without parsed arguments takes the same parser defaults
+    assert cli.run("lemma21", cli.ExperimentConfig()) == 0
+
+
+def test_lemma21_p_leaves_model_p_alone(monkeypatch, capsys):
+    seen = {}
+
+    def capture(config, args):
+        seen["config"], seen["args"] = config, args
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "lemma21", capture)
+    assert cli.main(["lemma21", "--p", "2"]) == 0
+    assert seen["config"].p == 1.0
+    assert seen["args"].lemma_p == 2.0
+
+
 def test_verify_bounds_passes(capsys):
     code, out, err = run_main(["verify-bounds", "--trials", "2000", "--seed", "7"], capsys)
     assert code == 0

@@ -11,7 +11,6 @@ from sde_lab.model import (
     ModelParams,
     build_axis_aligned,
     build_general,
-    embed_to_dim,
     embedded_nu,
     embedded_V,
     eval_general_V,
@@ -72,9 +71,9 @@ def test_params_defaults():
 def test_envelope_constant_formula():
     m4 = build_axis_aligned(ModelParams(n=4))
     assert m4.C >= 1.0
-    assert m4.kappa5 == pytest.approx(2.0 + 40.0 * m4.C, rel=1e-14)
+    assert m4.varkappa == pytest.approx(2.0 + 40.0 * m4.C, rel=1e-14)
     m2 = build_axis_aligned(ModelParams(n=2))
-    assert m2.kappa5 == pytest.approx(2.0 + 24.0 * m2.C, rel=1e-14)
+    assert m2.varkappa == pytest.approx(2.0 + 24.0 * m2.C, rel=1e-14)
 
 
 def test_nu_at_origin(axis):
@@ -156,21 +155,20 @@ def test_U_grad_matches_finite_differences(axis):
 
 
 def test_embedding_dimension_five_is_identity(axis):
-    drift, V, sigma0 = embed_to_dim(axis)
     x = np.array([0.7, 1.0, -0.5, 0.3, 2.0])
-    assert np.array_equal(drift(x), eval_nu(axis, x))
-    assert V(x) == eval_U(axis, x) + 1.0
-    assert np.array_equal(sigma0, [0, 1, 0, 0, 0])
+    assert np.array_equal(embedded_nu(axis, x), eval_nu(axis, x))
+    assert embedded_V(axis, x) == eval_U(axis, x) + 1.0
+    # identity conjugation: the noise enters the second coordinate only
+    assert np.array_equal(build_general(axis).sigma[:, 0], [0, 1, 0, 0, 0])
 
 
 def test_embedding_dimension_seven():
     axis7 = build_axis_aligned(ModelParams(d=7))
-    drift, V, _ = embed_to_dim(axis7)
     x = np.array([0.7, 1.0, -0.5, 0.3, 2.0, 3.0, 3.0])
-    out = drift(x)
+    out = embedded_nu(axis7, x)
     assert np.array_equal(out[5:], [0.0, 0.0])
     assert np.array_equal(out[:5], eval_nu(axis7, x[:5]))
-    assert V(x) == eval_U(axis7, x[:5]) + 18.0 + 1.0
+    assert embedded_V(axis7, x) == eval_U(axis7, x[:5]) + 18.0 + 1.0
 
 
 def test_embedding_dimension_six_origin():

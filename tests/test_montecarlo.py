@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sde_lab import montecarlo
+from sde_lab import bumps, montecarlo
 from sde_lab.model import ModelParams, build_axis_aligned, build_general
 from sde_lab.montecarlo import (
     DistanceEstimate,
@@ -21,6 +21,8 @@ from sde_lab.montecarlo import (
     sweep_summary,
     sweep_to_csv,
 )
+from sde_lab.paths import TimeGrid, brownian_values_batch
+from sde_lab.solvers import solve_cascade_batch
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,18 @@ def test_sweep_summary_serializes(general):
         assert key in parsed
     assert parsed["n_paths"] == 300
     assert len(parsed["local_slopes"]) == len(parsed["eps"]) - 1
+
+
+def test_x3_samples_are_the_cascade_solvers_x3_at_tau():
+    axis = build_axis_aligned(ModelParams())
+    grid = TimeGrid(T=1.0, steps=512)
+    k_tau = grid.nearest_index(axis.params.tau)
+    gp = bumps.eval(axis.g, grid.times, 1)
+    samples = np.empty(300)
+    montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 9, 0, 300, samples)
+    w = brownian_values_batch(grid, 1, 9, 0, 300)[:, :, 0]
+    x3 = solve_cascade_batch(axis, grid, w, np.zeros(5))[:, k_tau, 2]
+    assert np.array_equal(samples, x3)
 
 
 def test_stdnormality_passes_at_moderate_sample_size():

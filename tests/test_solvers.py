@@ -13,11 +13,11 @@ from sde_lab.solvers import (
     SolverExplosionError,
     solve_cascade,
     solve_cascade_batch,
+    solve_cascade_general,
     solve_em,
     solve_em_batch,
     solve_variation,
     solve_variation_batch,
-    transform_solution,
     write_solution_csv,
 )
 
@@ -128,6 +128,10 @@ def test_cascade_explosion_detected(axis):
     with pytest.raises(SolverExplosionError) as err:
         solve_cascade(axis, W, x0)
     assert err.value.step_index > 0
+    # a non-finite start is an explosion at step 0, not a bad initial value
+    with pytest.raises(SolverExplosionError) as err:
+        solve_cascade(axis, W, np.array([0.0, 0.0, np.nan, 0.05, 0.0]))
+    assert err.value.step_index == 0
 
 
 def test_em_explosion_and_taming(general):
@@ -140,6 +144,10 @@ def test_em_explosion_and_taming(general):
         solve_em(general, W, x0, taming=False)
     sol = solve_em(general, W, x0, taming=True)
     assert np.all(np.isfinite(sol.states))
+    x0[4] = np.nan
+    with pytest.raises(SolverExplosionError) as err:
+        solve_em(general, W, x0, taming=True)
+    assert err.value.step_index == 0
 
 
 def test_em_batch_matches_single(general):
@@ -216,18 +224,38 @@ def test_variation_of_frozen_jacobian_is_matrix_exponential(general):
     assert np.allclose(J[-1], expm(jac) @ h, rtol=1e-8, atol=1e-10)
 
 
-def test_transform_solution_roundtrip(general):
+def _batch_paths(grid, seed, count):
+    return np.stack([sample_brownian(grid, 1, seed, i).values[:, 0] for i in range(count)])
+
+
+def test_cascade_general_default_model_is_padded_batch():
+    # B = I and v = 0: the transport only pads with the constant coordinates
+    gm = build_general(build_axis_aligned(ModelParams(d=7)))
+    grid = TimeGrid(T=1.0, steps=128)
+    w = _batch_paths(grid, 31, 3)
+    y0 = np.array([0.1, -0.2, 0.3, 0.05, -0.1, 0.7, -0.4])
+    X = solve_cascade_general(gm, grid, w, y0)
+    padded = np.empty((3, grid.steps + 1, 7))
+    padded[:] = y0
+    padded[:, :, :5] = solve_cascade_batch(gm.base, grid, w, y0[:5])
+    assert np.array_equal(X, padded)
+
+
+def test_cascade_general_transport_recovers_cascade_d7():
     rng = np.random.default_rng(12)
-    d = 5
+    d = 7
     prm = ModelParams(d=d, v=rng.uniform(-1, 1, d), delta=rng.uniform(-1, 1, d))
     gm = build_general(build_axis_aligned(prm))
     grid = TimeGrid(T=1.0, steps=64)
-    W = sample_brownian(grid, 1, 30, 1)
-    Y = solve_em(general, W, np.array([0.0, 0.0, 0.3, 0.05, 0.0]), taming=False)
-    X = transform_solution(Y, gm.B, prm.v)
-    assert np.allclose(X.states, Y.states @ gm.B.T + prm.v)
-    back = transform_solution(X, gm.Binv, -gm.Binv @ prm.v)
-    assert np.allclose(back.states, Y.states, atol=1e-12)
+    w = _batch_paths(grid, 30, 3)
+    y0 = rng.uniform(-0.3, 0.3, d)
+    X = solve_cascade_general(gm, grid, w, y0)
+    assert X.shape == (3, grid.steps + 1, d)
+    back = (X - prm.v) @ gm.Binv.T
+    cascade = solve_cascade_batch(gm.base, grid, w, y0[:5])
+    assert np.allclose(back[:, :, :5], cascade, rtol=0.0, atol=1e-12)
+    # coordinates 6 and 7 are constants of the motion
+    assert np.allclose(back[:, :, 5:], y0[5:], rtol=0.0, atol=1e-12)
 
 
 def test_solution_path_validation():
