@@ -7,9 +7,10 @@ exponent ratio for the default experiment sits at 0.4957, a hair under the
 ordinary sampling noise. Policy: walk a pre-declared candidate list in order
 and pin the first seed whose realized sweep passes every clause; that seed
 becomes the package-wide default. Re-running this script reproduces the
-selection deterministically.
+selection deterministically. With --all every candidate is evaluated and a
+last JSON line gives each clause's pass count over the candidates.
 
-Usage: python scripts/pin_default_seed.py [--paths 10000] [--threads 4]
+Usage: python scripts/pin_default_seed.py [--paths 10000] [--threads 4] [--all]
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import sde_lab  # noqa: E402
 from sde_lab import montecarlo  # noqa: E402
 
 CANDIDATES = [1, 2, 3, 5, 7, 11, 42, 123]
+CLAUSES = ("dominated", "slopes_decreasing", "ratio_ok", "oracle_within_4se", "no_aborts")
 
 
 def evaluate_candidate(gm, eps, oracle_slopes, seed, n_paths, threads):
@@ -61,10 +63,11 @@ def evaluate_candidate(gm, eps, oracle_slopes, seed, n_paths, threads):
         "oracle_within_4se": oracle_ok,
         "max_oracle_gap_in_se": round(float(np.max(gaps / np.array(slope_ses))), 2),
         "aborted_paths": aborted,
+        "no_aborts": aborted == 0,
         "slopes": [round(s, 4) for s in slopes],
         "runtime_s": round(time.time() - t0, 1),
     }
-    verdict["pass"] = dominated and decreasing and ratio_ok and oracle_ok and aborted == 0
+    verdict["pass"] = all(verdict[c] for c in CLAUSES)
     return verdict
 
 
@@ -72,8 +75,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--paths", type=int, default=10_000)
     ap.add_argument("--threads", type=int, default=4)
-    ap.add_argument("--stop-at-first", action="store_true", default=True)
-    ap.add_argument("--all", dest="stop_at_first", action="store_false",
+    ap.add_argument("--all", action="store_true",
                     help="evaluate every candidate instead of stopping early")
     args = ap.parse_args()
 
@@ -87,20 +89,23 @@ def main():
     oracle_slopes = oracles.local_slopes(eps, oracle_means)
     print("oracle slopes:", np.round(oracle_slopes, 4), flush=True)
 
-    chosen = None
+    verdicts = []
     for seed in CANDIDATES:
         verdict = evaluate_candidate(gm, eps, oracle_slopes, seed, args.paths, args.threads)
         print(json.dumps(verdict), flush=True)
-        if verdict["pass"] and chosen is None:
-            chosen = seed
-            if args.stop_at_first:
-                break
+        verdicts.append(verdict)
+        if verdict["pass"] and not args.all:
+            break
 
+    chosen = next((v["seed"] for v in verdicts if v["pass"]), None)
     if chosen is None:
         print("NO CANDIDATE PASSED", flush=True)
-        return 1
-    print(f"SELECTED DEFAULT SEED: {chosen}", flush=True)
-    return 0
+    else:
+        print(f"SELECTED DEFAULT SEED: {chosen}", flush=True)
+    if args.all:
+        counts = {c: sum(bool(v[c]) for v in verdicts) for c in CLAUSES + ("pass",)}
+        print(json.dumps({"candidates": len(verdicts), "pass_counts": counts}), flush=True)
+    return 0 if chosen is not None else 1
 
 
 if __name__ == "__main__":

@@ -79,6 +79,11 @@ def make_normalized_bump(a: float, b: float) -> BumpFunction:
     # square is ~1e-16 already at width 0.5 and underflows float64 for narrow
     # supports, which would leave the quadrature tolerance meaningless.
     s_max = 0.25 * (b - a) ** 2
+    with np.errstate(over="ignore"):
+        peak = np.exp(1.0 / s_max)
+    too_narrow = f"support ({a}, {b}) too narrow: normalization overflows float64"
+    if not np.isfinite(peak):  # checked first: the quadrature stalls on such supports
+        raise InvalidIntervalError(too_narrow)
 
     def scaled_sq(t):
         inside, s, _ = _raw_parts(a, b, t)
@@ -91,11 +96,9 @@ def make_normalized_bump(a: float, b: float) -> BumpFunction:
             f"normalization integral degenerate on ({a}, {b}): {scaled}"
         )
     with np.errstate(over="ignore"):
-        eta = np.exp(1.0 / s_max) / np.sqrt(scaled)
+        eta = peak / np.sqrt(scaled)
     if not np.isfinite(eta):
-        raise InvalidIntervalError(
-            f"support ({a}, {b}) too narrow: normalization overflows float64"
-        )
+        raise InvalidIntervalError(too_narrow)
     return BumpFunction(a=float(a), b=float(b), eta=float(eta))
 
 

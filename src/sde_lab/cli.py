@@ -34,12 +34,6 @@ from .reports import CheckReport, merge_reports
 
 DEFAULT_SEED = 1  # pinned default-experiment master seed; see acceptance suite
 
-_CONFIG_KEYS = {
-    "n", "tau", "T", "d", "m", "p", "q", "v", "delta",
-    "dt", "n_paths", "eps_grid", "t_eval", "seed", "output_dir", "taming",
-    "threads", "solver",
-}
-
 
 class ConfigError(ValueError):
     """Configuration file or flag combination cannot be parsed."""
@@ -123,6 +117,9 @@ class ExperimentConfig:
         if eps.ndim != 1 or len(eps) < 1:
             raise ConfigError(f"bad eps_grid {grid!r}")
         return eps
+
+
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_eps_value(text: str) -> float:
@@ -473,9 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_overrides(ns: argparse.Namespace) -> dict:
-    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     over = {}
-    for key in config_fields:
+    for key in _CONFIG_KEYS:
         if hasattr(ns, key) and getattr(ns, key) is not None:
             over[key] = getattr(ns, key)
     for key in ("v", "delta"):

@@ -1,12 +1,13 @@
 """Monte Carlo estimation of flow distances under synchronous coupling.
 
-Both starting points of a pair ride the same Brownian path, so the sample
-distance is exactly the coupled difference the theory speaks about and the
-common noise cancels out of the variance. Determinism contract: results are
-a pure function of (model, inputs, master_seed); thread count and chunking
-cannot change a single bit because every path's randomness is derived from
-its global index alone and the mean/stderr reduction happens once, in index
-order, over a preallocated array.
+Every start rides the same Brownian path, drawn once per chunk of paths for
+the reference start (solved once) and all perturbed ones (every epsilon of a
+sweep), so each sample distance is exactly the coupled difference the theory
+speaks about and the common noise cancels out of the variance. Determinism
+contract: results are a pure function of (model, inputs, master_seed);
+thread count and chunking cannot change a single bit because every path's
+randomness is derived from its global index alone and the mean/stderr
+reduction happens once, in index order, over a preallocated array.
 """
 
 from __future__ import annotations
@@ -82,25 +83,80 @@ def _default_steps(T: float) -> int:
     return max(1, round(T * 2048))
 
 
-def _distance_chunk_cascade(gm, grid, k_obs, seed, lo, hi, y0x, y0y, out):
-    w = brownian_values_batch(grid, gm.params.m, seed, lo, hi - lo)[:, :, 0]
-    sx = solve_cascade_batch(gm.base, grid, w, y0x[:5])
-    sy = solve_cascade_batch(gm.base, grid, w, y0y[:5])
-    bad = (_first_bad_steps(sx) >= 0) | (_first_bad_steps(sy) >= 0)
-    diff5 = sx[:, k_obs, :] - sy[:, k_obs, :]
-    tail_sq = float(np.sum((y0x[5:] - y0y[5:]) ** 2))  # untouched coordinates
-    dnorm = float(np.linalg.norm(gm.params.delta))
-    dist = dnorm * np.sqrt(np.sum(diff5**2, axis=1) + tail_sq)
-    out[lo:hi] = np.where(bad, np.nan, dist)
-
-
-def _distance_chunk_em(gm, grid, k_obs, seed, lo, hi, x, y, taming, out):
+def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, ref, others, out):
     w = brownian_values_batch(grid, gm.params.m, seed, lo, hi - lo)
-    sx = solve_em_batch(gm, grid, w, x, taming=taming)
-    sy = solve_em_batch(gm, grid, w, y, taming=taming)
-    bad = (_first_bad_steps(sx) >= 0) | (_first_bad_steps(sy) >= 0)
-    dist = np.linalg.norm(sx[:, k_obs, :] - sy[:, k_obs, :], axis=1)
-    out[lo:hi] = np.where(bad, np.nan, dist)
+
+    def observe(start):  # reduced at once: one (P, K+1, .) state array alive
+        if solver == "cascade":
+            s = solve_cascade_batch(gm.base, grid, w[:, :, 0], start[:5])
+        else:
+            s = solve_em_batch(gm, grid, w, start, taming=taming)
+        return s[:, k_obs].copy(), _first_bad_steps(s) >= 0
+
+    ref_obs, ref_bad = observe(ref)
+    dnorm = float(np.linalg.norm(gm.params.delta))
+    for row, start in enumerate(others):
+        obs, bad = observe(start)
+        diff = ref_obs - obs
+        if solver == "cascade":
+            tail_sq = float(np.sum((ref[5:] - start[5:]) ** 2))  # untouched coordinates
+            dist = dnorm * np.sqrt(np.sum(diff**2, axis=1) + tail_sq)
+        else:
+            dist = np.linalg.norm(diff, axis=1)
+        out[row, lo:hi] = np.where(ref_bad | bad, np.nan, dist)
+
+
+def _estimates(model, x, ys, t, n_paths, seed, steps, solver, taming, n_threads):
+    """One DistanceEstimate of E||X^x(t) - X^y(t)|| per y in ys, on shared paths."""
+    params = model.params
+    if not 0.0 < t <= params.T:
+        raise ValueError(f"need t in (0, T], got {t}")
+    if n_paths < 2:
+        raise ValueError(f"need at least 2 paths, got {n_paths}")
+    if solver not in ("cascade", "em"):
+        raise ValueError(f"unknown solver {solver!r}")
+    x = np.asarray(x, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
+    k_obs = grid.nearest_index(t)
+    if solver == "cascade":
+        ref = model.Binv @ (x - params.v)
+        others = [model.Binv @ (y - params.v) for y in ys]
+    else:
+        ref, others = x, ys
+
+    dist = np.full((len(ys), n_paths), np.nan)
+    chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    task = lambda c: _distance_chunk(
+        model, grid, k_obs, seed, c[0], c[1], solver, taming, ref, others, dist
+    )
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(task, chunks))
+    else:
+        for c in chunks:
+            task(c)
+
+    def summarize(y, row):
+        clean = np.isfinite(row)
+        n_clean = int(np.count_nonzero(clean))
+        if n_clean == 0:
+            raise EstimationFailedError(f"all {n_paths} paths aborted")
+        sample = row[clean]
+        mean = float(np.mean(sample))
+        std_error = float(np.std(sample, ddof=1) / math.sqrt(n_clean)) if n_clean > 1 else 0.0
+        return DistanceEstimate(
+            x=x,
+            y=y,
+            t=float(grid.times[k_obs]),
+            n_paths=n_paths,
+            mean=mean,
+            std_error=std_error,
+            aborted=n_paths - n_clean,
+            distances=row,
+        )
+
+    return [summarize(y, row) for y, row in zip(ys, dist)]
 
 
 def estimate_distance(
@@ -124,55 +180,9 @@ def estimate_distance(
     both starting points. Deterministic given master_seed regardless of
     n_threads.
     """
-    params = model.params
-    if not 0.0 < t <= params.T:
-        raise ValueError(f"need t in (0, T], got {t}")
-    if n_paths < 2:
-        raise ValueError(f"need at least 2 paths, got {n_paths}")
-    if solver not in ("cascade", "em"):
-        raise ValueError(f"unknown solver {solver!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
-    k_obs = grid.nearest_index(t)
-
-    dist = np.full(n_paths, np.nan)
-    chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if solver == "cascade":
-        y0x = model.Binv @ (x - params.v)
-        y0y = model.Binv @ (y - params.v)
-        task = lambda c: _distance_chunk_cascade(
-            model, grid, k_obs, master_seed, c[0], c[1], y0x, y0y, dist
-        )
-    else:
-        task = lambda c: _distance_chunk_em(
-            model, grid, k_obs, master_seed, c[0], c[1], x, y, taming, dist
-        )
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(task, chunks))
-    else:
-        for c in chunks:
-            task(c)
-
-    clean = np.isfinite(dist)
-    n_clean = int(np.count_nonzero(clean))
-    if n_clean == 0:
-        raise EstimationFailedError(f"all {n_paths} paths aborted")
-    sample = dist[clean]
-    mean = float(np.mean(sample))
-    std_error = float(np.std(sample, ddof=1) / math.sqrt(n_clean)) if n_clean > 1 else 0.0
-    return DistanceEstimate(
-        x=x,
-        y=y,
-        t=float(grid.times[k_obs]),
-        n_paths=n_paths,
-        mean=mean,
-        std_error=std_error,
-        aborted=n_paths - n_clean,
-        distances=dist,
-    )
+    return _estimates(
+        model, x, [y], t, n_paths, master_seed, steps, solver, taming, n_threads
+    )[0]
 
 
 def sweep_epsilon(
@@ -190,9 +200,10 @@ def sweep_epsilon(
 ) -> SweepResult:
     """Distance sweep along w = v + eps delta for a decreasing epsilon grid.
 
-    All epsilons share the same paths (same master_seed), so adjacent
-    estimates are positively correlated and slope estimates benefit from the
-    common-noise cancellation.
+    Each chunk of paths is drawn once, and the reference start v solved
+    once, for every epsilon. So all epsilons share the same paths (same
+    master_seed), adjacent estimates are positively correlated, and slope
+    estimates benefit from the common-noise cancellation.
     """
     params = model.params
     eps = np.asarray(eps_grid, dtype=float)
@@ -205,21 +216,10 @@ def sweep_epsilon(
     if not params.tau < t < params.T:
         raise ValueError(f"need t in (tau, T), got {t}")
 
-    estimates = [
-        estimate_distance(
-            model,
-            params.v,
-            params.v + e * params.delta,
-            t,
-            n_paths,
-            master_seed,
-            steps=steps,
-            solver=solver,
-            taming=taming,
-            n_threads=n_threads,
-        )
-        for e in eps
-    ]
+    ys = [params.v + e * params.delta for e in eps]
+    estimates = _estimates(
+        model, params.v, ys, t, n_paths, master_seed, steps, solver, taming, n_threads
+    )
     means = np.array([est.mean for est in estimates])
     with np.errstate(divide="ignore"):
         log_means = np.log(means)

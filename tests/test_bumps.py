@@ -51,6 +51,9 @@ def test_too_narrow_support_overflows_cleanly():
     # eta would exceed float64 range around width 0.075
     with pytest.raises(InvalidIntervalError, match="too narrow"):
         make_normalized_bump(0.0, 0.05)
+    # the peak itself overflows here; caught before the quadrature stalls
+    with pytest.raises(InvalidIntervalError, match="too narrow"):
+        make_normalized_bump(0.0, 0.001)
 
 
 def test_bad_derivative_order():

@@ -142,6 +142,15 @@ def test_main_incomplete_ladder_flags(capsys):
     assert "eps_grid" in json.loads(err)["error"]
 
 
+def test_main_narrow_support_is_a_config_error(capsys):
+    code, out, err = run_main(
+        ["sweep", "--tau", "0.001", "--T", "0.002", "--t-eval", "0.0015", "--n-paths", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert "too narrow" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------- subcommands
 
 

@@ -1,5 +1,6 @@
 """Coupled-distance estimation, epsilon sweeps, distributional checks."""
 
+import hashlib
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from sde_lab import bumps, montecarlo
+from sde_lab import bumps, cli, montecarlo
 from sde_lab.model import ModelParams, build_axis_aligned, build_general
 from sde_lab.montecarlo import (
     DistanceEstimate,
@@ -35,24 +36,58 @@ def _small_sweep(gm, seed=7, n_paths=300, steps=512, **kw):
     return sweep_epsilon(gm, 0.9, eps, n_paths, seed, steps=steps, **kw)
 
 
-def test_estimate_is_thread_count_invariant(general):
+@pytest.mark.parametrize("solver", ["cascade", "em"])
+def test_estimate_is_thread_count_invariant(general, solver):
     x = general.params.v
     y = x + 0.05 * general.params.delta
-    a = estimate_distance(general, x, y, 0.9, 300, 11, steps=256, n_threads=1)
-    b = estimate_distance(general, x, y, 0.9, 300, 11, steps=256, n_threads=4)
+    kw = dict(steps=256, solver=solver)
+    a = estimate_distance(general, x, y, 0.9, 300, 11, n_threads=1, **kw)
+    b = estimate_distance(general, x, y, 0.9, 300, 11, n_threads=4, **kw)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
     assert np.array_equal(a.distances, b.distances, equal_nan=True)
 
 
-def test_estimate_is_chunk_size_invariant(general, monkeypatch):
+@pytest.mark.parametrize("solver", ["cascade", "em"])
+def test_estimate_is_chunk_size_invariant(general, monkeypatch, solver):
     x = general.params.v
     y = x + 0.05 * general.params.delta
-    a = estimate_distance(general, x, y, 0.9, 300, 11, steps=256)
+    a = estimate_distance(general, x, y, 0.9, 300, 11, steps=256, solver=solver)
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
-    b = estimate_distance(general, x, y, 0.9, 300, 11, steps=256)
+    b = estimate_distance(general, x, y, 0.9, 300, 11, steps=256, solver=solver)
     assert a.mean == b.mean
     assert np.array_equal(a.distances, b.distances, equal_nan=True)
+
+
+@pytest.mark.parametrize("solver", ["cascade", "em"])
+def test_sweep_rows_are_the_single_pair_estimates(general, solver):
+    res = _small_sweep(general, solver=solver)
+    v, delta = general.params.v, general.params.delta
+    for e, row in zip(res.eps_grid, res.estimates):
+        y = v + e * delta
+        est = estimate_distance(general, v, y, 0.9, 300, 7, steps=512, solver=solver)
+        assert np.array_equal(row.distances, est.distances, equal_nan=True)
+        assert row.mean == est.mean
+        assert row.std_error == est.std_error
+
+
+@pytest.mark.parametrize(
+    "solver, n_paths, steps, digest",
+    [
+        ("cascade", 256, 2048, "9c1f6574094988393fe58cea7ef77a684f08d084cd8932511ef0898094c078ee"),
+        ("em", 64, 512, "8d8681d5468ebb9a62b755416fbe8f169ffa2f9546b43d13746e53ed9d228c21"),
+    ],
+)
+def test_default_sweep_distances_are_frozen(solver, n_paths, steps, digest):
+    # per-path distances of the default epsilon grid, pinned so that a
+    # performance change cannot move a seeded number unnoticed
+    cfg = cli.ExperimentConfig()
+    gm = cli._build_general(cfg)
+    res = sweep_epsilon(
+        gm, cfg.t_eval, cfg.epsilons(), n_paths, cli.DEFAULT_SEED, steps=steps, solver=solver
+    )
+    data = b"".join(est.distances.tobytes() for est in res.estimates)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_identical_starts_give_zero_distance(general):
