@@ -17,6 +17,10 @@ from .quadrature import QuadratureToleranceError, adaptive_simpson
 # exponential part underflows long before this matters numerically
 _EDGE = 1e-12
 
+# grid doublings allowed in _grid_refined_max; the package's models settle
+# after one
+_MAX_DOUBLINGS = 8
+
 
 class InvalidIntervalError(ValueError):
     """Support interval is empty or reversed."""
@@ -106,16 +110,20 @@ def _grid_refined_max(values_at_n) -> float:
     """Refine a grid maximum values_at_n(n) over n points.
 
     Starts from 10^4 points and doubles until the value moves by a relative
-    1e-6 or less.
+    1e-6 or less. Raises QuadratureToleranceError if it still moves after
+    _MAX_DOUBLINGS doublings.
     """
     n = 10_000
     cur = values_at_n(n)
-    while True:
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         nxt = values_at_n(n)
         if abs(nxt - cur) <= 1e-6 * max(abs(cur), 1e-300):
             return float(nxt)
         cur = nxt
+    raise QuadratureToleranceError(
+        f"grid maximum still moving after {_MAX_DOUBLINGS} doublings ({n} points): {cur}"
+    )
 
 
 def sup_bounds(f: BumpFunction, g: BumpFunction) -> float:

@@ -10,10 +10,12 @@ Subcommands map one-to-one onto the verification and experiment pipelines:
   transform-check  cascade-vs-Euler equivalence through the affine transform
   variation-check  first-variation solver vs finite differences of the flow
 
-Exit codes: 0 all checks passed, 1 a check failed (JSON report on stdout),
-2 configuration/parse error. Configuration comes from defaults, then an
-optional flat-key JSON file (--config), then explicit flags; the master seed
-falls back to the SDE_LAB_SEED environment variable.
+Exit codes: 0 all checks passed; 1 a check failed, a solver exploded or
+every sampled path aborted (JSON report on stdout); 2 configuration/parse
+error or a quadrature that cannot certify its tolerance ({"error": ...} on
+stderr). Configuration comes from defaults, then an optional flat-key JSON
+file (--config), then explicit flags; the master seed falls back to the
+SDE_LAB_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import bumps, model as model_mod, montecarlo, paths as paths_mod, solvers
+from .quadrature import QuadratureToleranceError
 from .reports import CheckReport, merge_reports
 
 DEFAULT_SEED = 1  # pinned default-experiment master seed; see acceptance suite
@@ -202,25 +205,20 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     W = paths_mod.sample_brownian(grid, config.m, config.resolved_seed(), args.path_index)
     params = gm.params
     x0 = params.v + args.x0_eps * params.delta
-    try:
-        if config.solver == "cascade":
-            y0 = gm.Binv @ (x0 - params.v)
-            w = W.values[None, :, 0]
-            states = solvers.solve_cascade_general(gm, grid, w, y0)[0]
-            X = solvers.SolutionPath(grid, states, states[0])
-        else:
-            X = solvers.solve_em(gm, W, x0, taming=config.taming)
-    except solvers.SolverExplosionError as exc:
-        print(json.dumps({"check": "simulate", "passed": False, "error": str(exc)}))
-        return 1
+    if config.solver == "cascade":
+        y0 = gm.Binv @ (x0 - params.v)
+        w = W.values[None, :, 0]
+        states = solvers.solve_cascade_general(gm, grid, w, y0)[0]
+        X = solvers.SolutionPath(grid, states, states[0])
+    else:
+        X = solvers.solve_em(gm, W, x0, taming=config.taming)
     os.makedirs(config.output_dir, exist_ok=True)
-    wfile = os.path.join(config.output_dir, "brownian.csv")
-    xfile = os.path.join(config.output_dir, "solution.csv")
-    with open(wfile, "w") as fh:
+    files = ["brownian.csv", "solution.csv"]  # relative to --output
+    with open(os.path.join(config.output_dir, files[0]), "w") as fh:
         paths_mod.write_brownian_csv(W, fh)
-    with open(xfile, "w") as fh:
+    with open(os.path.join(config.output_dir, files[1]), "w") as fh:
         solvers.write_solution_csv(X, fh)
-    print(json.dumps({"check": "simulate", "passed": True, "files": [wfile, xfile]}))
+    print(json.dumps({"check": "simulate", "passed": True, "files": files}))
     return 0
 
 
@@ -496,7 +494,10 @@ def main(argv=None) -> int:
         config = load_config(ns.config, _config_overrides(ns))
         config.model_params()  # validate eagerly: bad values are config errors
         return run(ns.command, config, ns)
-    except (ConfigError, ValueError) as exc:
+    except (montecarlo.EstimationFailedError, solvers.SolverExplosionError) as exc:
+        print(json.dumps({"check": ns.command, "passed": False, "error": str(exc)}))
+        return 1
+    except (ConfigError, ValueError, QuadratureToleranceError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

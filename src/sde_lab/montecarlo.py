@@ -1,13 +1,19 @@
 """Monte Carlo estimation of flow distances under synchronous coupling.
 
 Every start rides the same Brownian path, drawn once per chunk of paths for
-the reference start (solved once) and all perturbed ones (every epsilon of a
-sweep), so each sample distance is exactly the coupled difference the theory
-speaks about and the common noise cancels out of the variance. Determinism
-contract: results are a pure function of (model, inputs, master_seed);
-thread count and chunking cannot change a single bit because every path's
-randomness is derived from its global index alone and the mean/stderr
-reduction happens once, in index order, over a preallocated array.
+the reference start and all perturbed ones (every epsilon of a sweep), so
+each sample distance is exactly the coupled difference the theory speaks
+about and the common noise cancels out of the variance. On the cascade
+route one solver call per chunk computes X1..X3 once and runs one RK4 over
+the stacked starts, from the first step where f acts to the observation
+step t, keeping only the state at t. A path aborts when its state at t is
+non-finite, which no solver stage undoes, so this is the same as a
+non-finite state at some step up to t; what happens after t does not count.
+Determinism contract: results are a pure function of (model, inputs,
+master_seed); thread count and chunking cannot change a single bit because
+every path's randomness is derived from its global index alone and the
+mean/stderr reduction happens once, in index order, over a preallocated
+array.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from . import bounds as bounds_mod, bumps
 from .model import AxisAlignedModel, GeneralModel
 from .paths import TimeGrid, brownian_values_batch
 from .reports import CheckReport
-from .solvers import _first_bad_steps, _x3_trapezoid, solve_cascade_batch, solve_em_batch
+from .solvers import _x3_trapezoid, solve_cascade_observed, solve_em_batch
 
 _CHUNK = 1024  # performance knob only; results are chunk-size independent
 
@@ -84,26 +90,27 @@ def _default_steps(T: float) -> int:
 
 
 def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, ref, others, out):
-    w = brownian_values_batch(grid, gm.params.m, seed, lo, hi - lo)
-
-    def observe(start):  # reduced at once: one (P, K+1, .) state array alive
-        if solver == "cascade":
-            s = solve_cascade_batch(gm.base, grid, w[:, :, 0], start[:5])
-        else:
-            s = solve_em_batch(gm, grid, w, start, taming=taming)
-        return s[:, k_obs].copy(), _first_bad_steps(s) >= 0
-
-    ref_obs, ref_bad = observe(ref)
+    # full-horizon draw: each Box-Muller normal pairs counter j with npairs + j,
+    # so a shorter draw would change the bits of the columns read here
+    w = brownian_values_batch(grid, gm.params.m, seed, lo, hi - lo)[:, : k_obs + 1]
+    if solver == "cascade":
+        starts = np.array([ref, *others])[:, :5]
+        obs = solve_cascade_observed(gm.base, grid, w[:, :, 0], starts, k_obs)
+    else:
+        obs = [solve_em_batch(gm, grid, w, s, taming=taming)[:, -1] for s in [ref, *others]]
+    # a path aborts when its state is non-finite at t; no solver stage makes a
+    # non-finite state finite again, so this is "non-finite at some step <= t"
+    bad = [~np.all(np.isfinite(o), axis=-1) for o in obs]
     dnorm = float(np.linalg.norm(gm.params.delta))
     for row, start in enumerate(others):
-        obs, bad = observe(start)
-        diff = ref_obs - obs
-        if solver == "cascade":
-            tail_sq = float(np.sum((ref[5:] - start[5:]) ** 2))  # untouched coordinates
-            dist = dnorm * np.sqrt(np.sum(diff**2, axis=1) + tail_sq)
-        else:
-            dist = np.linalg.norm(diff, axis=1)
-        out[row, lo:hi] = np.where(ref_bad | bad, np.nan, dist)
+        with np.errstate(over="ignore", invalid="ignore"):  # aborted or huge: not finite
+            diff = obs[0] - obs[row + 1]
+            if solver == "cascade":
+                tail_sq = float(np.sum((ref[5:] - start[5:]) ** 2))  # untouched coordinates
+                dist = dnorm * np.sqrt(np.sum(diff**2, axis=1) + tail_sq)
+            else:
+                dist = np.linalg.norm(diff, axis=1)
+        out[row, lo:hi] = np.where(bad[0] | bad[row + 1], np.nan, dist)
 
 
 def _estimates(model, x, ys, t, n_paths, seed, steps, solver, taming, n_threads):
@@ -200,10 +207,13 @@ def sweep_epsilon(
 ) -> SweepResult:
     """Distance sweep along w = v + eps delta for a decreasing epsilon grid.
 
-    Each chunk of paths is drawn once, and the reference start v solved
-    once, for every epsilon. So all epsilons share the same paths (same
-    master_seed), adjacent estimates are positively correlated, and slope
-    estimates benefit from the common-noise cancellation.
+    Each chunk of paths is drawn once for every epsilon, and on the cascade
+    route the reference start v and all v + eps delta go through one
+    stacked RK4 that runs only where f acts, up to t. So all epsilons share
+    the same paths (same master_seed), adjacent estimates are positively
+    correlated, and slope estimates benefit from the common-noise
+    cancellation. A path aborts for an epsilon when its reference or
+    perturbed state is non-finite at t; blow-ups after t do not count.
     """
     params = model.params
     eps = np.asarray(eps_grid, dtype=float)

@@ -15,6 +15,11 @@ class QuadratureToleranceError(RuntimeError):
     """Raised when an adaptive rule cannot certify the requested tolerance."""
 
 
+# integrand evaluations allowed per adaptive_simpson call; the package's own
+# integrals (bump normalizations, kappa_t, the variance identity) need < 5000
+_MAX_EVALS = 100_000
+
+
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL5_X = np.array(
     [
@@ -45,8 +50,10 @@ def adaptive_simpson(func, a, b, abs_tol=1e-12, rel_tol=1e-12, max_depth=60):
 
     Classic recursive Simpson with the |S_left + S_right - S_whole|/15
     Richardson error estimate. Raises QuadratureToleranceError when the
-    recursion depth limit is hit before the local target is met, so a
-    non-converging integrand cannot silently return garbage.
+    recursion depth limit is hit before the local target is met, or when
+    the target would need more than _MAX_EVALS integrand evaluations, so a
+    non-converging integrand can neither silently return garbage nor run
+    without bound.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
@@ -57,8 +64,16 @@ def adaptive_simpson(func, a, b, abs_tol=1e-12, rel_tol=1e-12, max_depth=60):
     # first pass to get a scale for the relative part of the target
     scale = max(abs(whole), abs_tol)
     tol = max(abs_tol, rel_tol * scale)
+    evals = 3
 
     def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
+        nonlocal evals
+        if evals + 2 > _MAX_EVALS:
+            raise QuadratureToleranceError(
+                f"adaptive Simpson exceeded its budget of {_MAX_EVALS} evaluations "
+                f"on [{a}, {b}] at depth {depth} (target {tol:.3e})"
+            )
+        evals += 2
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = func(lm), func(rm)

@@ -5,8 +5,12 @@ integrator.
 The cascade solver mirrors the triangular structure of the drift: the first
 two coordinates are exact, the third is a quadrature of the second, and the
 last two form a nonautonomous ODE driven by the (frozen after tau) third
-coordinate, integrated by RK4. The Euler scheme knows nothing about the
-structure and serves as the independent cross-check.
+coordinate, integrated by RK4 (one copy of the stages, _cascade_rk4).
+solve_cascade_batch records every step; solve_cascade_observed serves the
+distance sweep: it stacks all starts that share the paths into one RK4,
+runs it only over the steps where f acts up to the observation step, and
+returns that step alone. The Euler scheme knows nothing about the structure
+and serves as the independent cross-check.
 
 All computational cores are batched over paths (leading axis); the public
 single-path operations are thin wrappers around a batch of one, so both
@@ -74,63 +78,59 @@ def _expand_x0(x0, n_paths: int, dim: int) -> np.ndarray:
 def _x3_trapezoid(gp, x2, dt: float, x3_0, out: np.ndarray) -> None:
     """X3 = x3_0 + trapezoidal cumulative integral of g'(X1) X2, into out.
 
-    gp and x2 broadcast to out's shape (P, steps+1); x3_0 is a scalar or a
-    (P, 1) column. Shared by the cascade solver and the X3(tau) normality
-    check, which must agree bit for bit.
+    Time is the last axis: gp and x2 broadcast to out's shape (..., k+1),
+    and x3_0 to (..., 1). Shared by the cascade solvers and the X3(tau)
+    normality check, which must agree bit for bit.
     """
     integrand = gp * x2
-    out[:, :1] = x3_0
-    np.cumsum(0.5 * dt * (integrand[:, :-1] + integrand[:, 1:]), axis=1, out=out[:, 1:])
-    out[:, 1:] += x3_0
+    out[..., :1] = x3_0
+    np.cumsum(
+        0.5 * dt * (integrand[..., :-1] + integrand[..., 1:]), axis=-1, out=out[..., 1:]
+    )
+    out[..., 1:] += x3_0
 
 
-def solve_cascade_batch(
-    axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, x0
-) -> np.ndarray:
-    """Cascade states for a batch of scalar Brownian paths.
+def _cascade_forcing(axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, x0):
+    """X1, X2, X3 and the bump factors g'(X1), f(X1), f(X1 at mid-steps).
 
-    w has shape (P, steps+1); x0 is one vector in R^5 or a (P, 5) array.
-    Returns (P, steps+1, 5); non-finite values are left in place for the
-    caller to classify (see _first_bad_steps).
+    w holds the first k+1 grid values of the paths, shape (P, k+1); x0 has
+    shape (..., 5) and broadcasts against the path axis. Time is the last
+    axis of every result. The bump factors depend on x0_1 only, so when all
+    starts share it they are evaluated once, on the time axis alone.
     """
-    P, K1 = w.shape
-    K = K1 - 1
     dt = grid.dt
-    times = grid.times
-    x0 = _expand_x0(x0, P, 5)
-    n = axis.params.n
+    times = grid.times[: w.shape[-1]]
+    x1 = x0[..., 0, None] + times
+    x2 = x0[..., 1, None] + w
+    first = x0[..., 0].ravel()
+    s = first[0] + times if np.all(first == first[0]) else x1
+    gp = bumps.eval(axis.g, s, 1)
+    fv = bumps.eval(axis.f, s, 0)
+    fm = bumps.eval(axis.f, s[..., :-1] + 0.5 * dt, 0)
+    x3 = np.empty(np.broadcast_shapes(gp.shape, x2.shape, x0.shape[:-1] + (1,)))
+    _x3_trapezoid(gp, x2, dt, x0[..., 2, None], x3)
+    return x1, x2, x3, fv, fm
 
-    out = np.empty((P, K1, 5))
-    out[:, :, 0] = x0[:, 0, None] + times[None, :]
-    out[:, :, 1] = x0[:, 1, None] + w
 
-    shared_start = bool(np.all(x0[:, 0] == x0[0, 0]))
-    if shared_start:
-        # bump profiles along the path depend on x0_1 only; evaluate once
-        gp = bumps.eval(axis.g, x0[0, 0] + times, 1)[None, :]
-        fv = bumps.eval(axis.f, x0[0, 0] + times, 0)[None, :]
-        fm = bumps.eval(axis.f, x0[0, 0] + times[:-1] + 0.5 * dt, 0)[None, :]
-    else:
-        gp = bumps.eval(axis.g, out[:, :, 0], 1)
-        fv = bumps.eval(axis.f, out[:, :, 0], 0)
-        fm = bumps.eval(axis.f, out[:, :-1, 0] + 0.5 * dt, 0)
+def _cascade_rk4(n: int, dt: float, fv, fm, x3, x4, x5, k0: int, k1: int, record=None):
+    """Advance (X4, X5) from step k0 to step k1 by RK4 and return them.
 
-    _x3_trapezoid(gp, out[:, :, 1], dt, x0[:, 2, None], out[:, :, 2])
-
-    # (X4, X5): RK4 on X4' = f X4 X5, X5' = f ((X3)^n - X4^2), X3 interpolated
-    x3n = out[:, :, 2] ** n
-    x3n_mid = (0.5 * (out[:, :-1, 2] + out[:, 1:, 2])) ** n
-    fva = np.broadcast_to(fv, (P, K1))
-    fma = np.broadcast_to(fm, (P, K))
-    x4 = x0[:, 3].copy()
-    x5 = x0[:, 4].copy()
-    out[:, 0, 3] = x4
-    out[:, 0, 4] = x5
+    Integrates X4' = f X4 X5, X5' = f (X3^n - X4^2) with X3 interpolated
+    linearly at mid-steps. fv, fm and x3 carry time on their last axis and
+    broadcast against x4 and x5. If record is given, record[..., k, 0] and
+    record[..., k, 1] receive X4 and X5 after each step k in (k0, k1].
+    Non-finite values are left in place: every stage uses only +, - and *,
+    so a non-finite state never becomes finite again.
+    """
+    x3w = x3[..., k0 : k1 + 1]
+    x3n = x3w**n
+    x3n_mid = (0.5 * (x3w[..., :-1] + x3w[..., 1:])) ** n
     half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            f0, f1, fmid = fva[:, k], fva[:, k + 1], fma[:, k]
-            z0, z1, zmid = x3n[:, k], x3n[:, k + 1], x3n_mid[:, k]
+        for k in range(k0, k1):
+            j = k - k0
+            f0, f1, fmid = fv[..., k], fv[..., k + 1], fm[..., k]
+            z0, z1, zmid = x3n[..., j], x3n[..., j + 1], x3n_mid[..., j]
             k1a = f0 * x4 * x5
             k1b = f0 * (z0 - x4 * x4)
             a4 = x4 + half * k1a
@@ -147,9 +147,64 @@ def solve_cascade_batch(
             k4b = f1 * (z1 - a4 * a4)
             x4 = x4 + dt / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a)
             x5 = x5 + dt / 6.0 * (k1b + 2.0 * (k2b + k3b) + k4b)
-            out[:, k + 1, 3] = x4
-            out[:, k + 1, 4] = x5
+            if record is not None:
+                record[..., k + 1, 0] = x4
+                record[..., k + 1, 1] = x5
+    return x4, x5
+
+
+def solve_cascade_batch(
+    axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, x0
+) -> np.ndarray:
+    """Cascade states for a batch of scalar Brownian paths.
+
+    w has shape (P, steps+1); x0 is one vector in R^5 or a (P, 5) array.
+    Returns (P, steps+1, 5); non-finite values are left in place for the
+    caller to classify (see _first_bad_steps).
+    """
+    P, K1 = w.shape
+    x0 = _expand_x0(x0, P, 5)
+    out = np.empty((P, K1, 5))
+    x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, x0)
+    out[:, :, 0] = x1
+    out[:, :, 1] = x2
+    out[:, :, 2] = x3
+    out[:, 0, 3:] = x0[:, 3:]
+    _cascade_rk4(
+        axis.params.n, grid.dt, fv, fm, x3, x0[:, 3], x0[:, 4], 0, K1 - 1, out[:, :, 3:]
+    )
     return out
+
+
+def solve_cascade_observed(
+    axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, starts, k_obs: int
+) -> np.ndarray:
+    """Cascade states at step k_obs for S starts sharing the paths w.
+
+    starts has shape (S, 5) and w shape (P, k+1) with k >= k_obs; returns
+    (S, P, 5), bit-identical to solve_cascade_batch(...)[:, k_obs] per start
+    up to the sign of a zero. X1..X3 are computed once when all starts share
+    their first three coordinates, else once per start. One RK4 runs over
+    the stacked (S, P) starts, and only from the first step where f acts:
+    on steps where f is exactly 0 (before tau, and where it underflows after
+    it) RK4 leaves X4 and X5 unchanged. Since no stage makes a non-finite
+    state finite, a state is non-finite at k_obs exactly when it is
+    non-finite at some step up to k_obs.
+    """
+    starts = np.asarray(starts, dtype=float)
+    w = w[:, : k_obs + 1]
+    shared = np.all(starts[:, :3] == starts[0, :3])
+    heads = (starts[:1] if shared else starts)[:, None, :]
+    x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, heads)
+    active = (fv[..., :-1] != 0.0) | (fv[..., 1:] != 0.0) | (fm != 0.0)
+    active = np.any(active, axis=tuple(range(active.ndim - 1)))
+    k_start = int(np.argmax(active)) if active.any() else k_obs
+    shape = (len(starts), w.shape[0])
+    x4 = np.broadcast_to(starts[:, 3, None], shape)
+    x5 = np.broadcast_to(starts[:, 4, None], shape)
+    x4, x5 = _cascade_rk4(axis.params.n, grid.dt, fv, fm, x3, x4, x5, k_start, k_obs)
+    cols = np.broadcast_arrays(x1[..., -1], x2[..., -1], x3[..., -1], x4, x5)
+    return np.stack(cols, axis=-1)
 
 
 def solve_cascade(axis: AxisAlignedModel, W: BrownianPath, x0) -> SolutionPath:

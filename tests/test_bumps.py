@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sde_lab import bumps
 from sde_lab.bumps import BumpFunction, InvalidIntervalError, make_normalized_bump
-from sde_lab.quadrature import gauss_legendre
+from sde_lab.quadrature import QuadratureToleranceError, gauss_legendre
 
 # frozen 40-digit-arithmetic reference values for the (0, 0.5) profile
 ETA_HALF = 32107861.787124283761
@@ -161,6 +161,19 @@ def test_sup_abs_frozen_values():
     assert bumps.sup_abs(g, 0) == pytest.approx(3.613263835, rel=1e-6)
     assert bumps.sup_abs(g, 1) == pytest.approx(52.04584516, rel=1e-6)
     assert bumps.sup_abs(g, 2) == pytest.approx(1849.991082, rel=1e-6)
+
+
+def test_grid_refined_max_is_capped():
+    # a value that doubles with the grid never settles
+    sizes = []
+
+    def values_at_n(n):
+        sizes.append(n)
+        return float(n)
+
+    with pytest.raises(QuadratureToleranceError, match="doublings"):
+        bumps._grid_refined_max(values_at_n)
+    assert sizes == [10_000 * 2**i for i in range(bumps._MAX_DOUBLINGS + 1)]
 
 
 def test_width_property():

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from sde_lab import cli
+from sde_lab import cli, model as model_mod, montecarlo, solvers
+from sde_lab.quadrature import QuadratureToleranceError
 from sde_lab.reports import CheckReport
 
 
@@ -151,6 +152,43 @@ def test_main_narrow_support_is_a_config_error(capsys):
     assert "too narrow" in json.loads(err)["error"]
 
 
+# ---------------------------------------------------------------- run-time errors
+
+
+def _raiser(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+
+    return raise_
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, exc",
+    [
+        (["sweep", "--n-paths", "2"], montecarlo, "sweep_epsilon",
+         montecarlo.EstimationFailedError("all 2 paths aborted")),
+        (["transform-check", "--paths", "2"], solvers, "solve_em_batch",
+         solvers.SolverExplosionError(7)),
+        (["simulate", "--solver", "em"], solvers, "solve_em", solvers.SolverExplosionError(3)),
+    ],
+)
+def test_main_run_time_failure_is_a_failed_check(monkeypatch, capsys, argv, module, name, exc):
+    monkeypatch.setattr(module, name, _raiser(exc))
+    code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert json.loads(out) == {"check": argv[0], "passed": False, "error": str(exc)}
+    assert "Traceback" not in out + err
+
+
+def test_main_uncertified_quadrature_is_a_config_error(monkeypatch, capsys):
+    exc = QuadratureToleranceError("adaptive Simpson exceeded its evaluation budget")
+    monkeypatch.setattr(model_mod, "build_axis_aligned", _raiser(exc))
+    code, out, err = run_main(["verify-bounds", "--trials", "10"], capsys)
+    assert code == 2
+    assert json.loads(err) == {"error": str(exc)}
+    assert out == "" and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -213,6 +251,7 @@ def test_simulate_writes_files(tmp_path, capsys):
     assert code == 0
     status = json.loads(out)
     assert status["passed"] is True
+    assert status["files"] == ["brownian.csv", "solution.csv"]  # relative to --output
 
     wlines = (tmp_path / "brownian.csv").read_text().splitlines()
     xlines = (tmp_path / "solution.csv").read_text().splitlines()

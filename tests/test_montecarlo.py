@@ -23,7 +23,7 @@ from sde_lab.montecarlo import (
     sweep_to_csv,
 )
 from sde_lab.paths import TimeGrid, brownian_values_batch
-from sde_lab.solvers import solve_cascade_batch
+from sde_lab.solvers import _first_bad_steps, solve_cascade_batch
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,7 @@ def test_sweep_rows_are_the_single_pair_estimates(general, solver):
     "solver, n_paths, steps, digest",
     [
         ("cascade", 256, 2048, "9c1f6574094988393fe58cea7ef77a684f08d084cd8932511ef0898094c078ee"),
+        ("cascade", 2048, 2048, "02e2b0d09b0b469d1d0051b03145d13de90a17bb12a1794c60ac314ac13aa240"),
         ("em", 64, 512, "8d8681d5468ebb9a62b755416fbe8f169ffa2f9546b43d13746e53ed9d228c21"),
     ],
 )
@@ -137,6 +138,25 @@ def test_all_paths_aborting_raises(general):
     x[3] = 0.05
     with pytest.raises(EstimationFailedError, match="aborted"):
         estimate_distance(general, x, x, 0.9, 8, 0, steps=64)
+
+
+def test_paths_abort_only_when_non_finite_by_t(general):
+    # from x3 = 10 with a live fourth coordinate most paths blow up between
+    # steps 372 and 387 of 512; observed at step 375, the later blow-ups do
+    # not depend on anything up to t and must not abort
+    grid = TimeGrid(T=1.0, steps=512)
+    k_obs = 375
+    x = np.array([0.0, 0.0, 10.0, 0.05, 0.0])
+    y = x + 0.01 * general.params.delta
+    est = estimate_distance(general, x, y, k_obs / 512, 40, 4, steps=512)
+    w = brownian_values_batch(grid, 1, 4, 0, 40)[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = [_first_bad_steps(solve_cascade_batch(general.base, grid, w, s)) for s in (x, y)]
+    by_t = ((first[0] >= 0) & (first[0] <= k_obs)) | ((first[1] >= 0) & (first[1] <= k_obs))
+    by_T = (first[0] >= 0) | (first[1] >= 0)
+    assert by_t.any()
+    assert np.array_equal(np.isnan(est.distances), by_t)
+    assert np.any(by_T & ~by_t & np.isfinite(est.distances))
 
 
 def test_distance_estimate_consistency_guard():
@@ -278,6 +298,14 @@ def test_stdnormality_passes_at_moderate_sample_size():
     assert rep.passed, rep.params
     assert abs(rep.params["var"] - 1.0) <= rep.params["var_tol"]
     assert rep.params["ks"] <= rep.params["ks_critical_1pct"]
+
+
+def test_stdnormality_is_chunk_size_invariant(monkeypatch):
+    axis = build_axis_aligned(ModelParams())
+    a = stdnormality_test(axis, 300, master_seed=5, steps=256)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    b = stdnormality_test(axis, 300, master_seed=5, steps=256)
+    assert a.to_dict() == b.to_dict()
 
 
 def test_stdnormality_tolerances_scale():

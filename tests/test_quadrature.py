@@ -1,8 +1,11 @@
 """Adaptive Simpson and fixed-order Gauss-Legendre helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
+from sde_lab import quadrature
 from sde_lab.quadrature import (
     QuadratureToleranceError,
     adaptive_simpson,
@@ -36,6 +39,19 @@ def test_simpson_refuses_discontinuity():
     step = lambda t: 0.0 if t < 0.123456789 else 1.0
     with pytest.raises(QuadratureToleranceError, match="stalled"):
         adaptive_simpson(step, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15, max_depth=12)
+
+
+def test_simpson_evaluation_budget():
+    # resolving sin(1e9 t) on [0, 1] needs ~2^33 cells, far within the depth limit
+    calls = []
+
+    def fast(t):
+        calls.append(t)
+        return math.sin(1e9 * t)
+
+    with pytest.raises(QuadratureToleranceError, match="budget"):
+        adaptive_simpson(fast, 0.0, 1.0)
+    assert len(calls) <= quadrature._MAX_EVALS
 
 
 def test_gauss_legendre_cells_cumulative():

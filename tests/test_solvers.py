@@ -7,13 +7,15 @@ import pytest
 
 import oracles
 from sde_lab.model import ModelParams, build_axis_aligned, build_general
-from sde_lab.paths import BrownianPath, TimeGrid, sample_brownian
+from sde_lab.paths import BrownianPath, TimeGrid, brownian_values_batch, sample_brownian
 from sde_lab.solvers import (
     SolutionPath,
     SolverExplosionError,
+    _first_bad_steps,
     solve_cascade,
     solve_cascade_batch,
     solve_cascade_general,
+    solve_cascade_observed,
     solve_em,
     solve_em_batch,
     solve_variation,
@@ -111,6 +113,33 @@ def test_cascade_shared_start_branch_consistency(axis):
     x0_varied[0, 0] = 1e-9
     varied = solve_cascade_batch(axis, grid, w, x0_varied)
     assert np.allclose(shared[1:], varied[1:], rtol=0.0, atol=0.0)
+
+
+# Shared heads: x4 = 1e155 squares to inf before f acts, where the batch
+# solver already turns 0 * (z - inf) into nan. Mixed heads: x3 = 10 blows up
+# between steps 372 and about 390 on these paths, across k_obs = 375, and
+# x3 = 1e60 within a few steps of tau; the last start has its own x1, so its
+# bump factors differ from the others'.
+_SHARED_HEADS = [[0, 0, 0, 0, 0], [0, 0, 0, 0.05, 0], [0, 0, 0, 1e155, 0], [0, 0, 0, -0.0, 0.3]]
+_MIXED_HEADS = [[0, 0, 0, 0, 0], [0, 0, 10, 0.05, 0], [0, 0, 1e60, 0.05, 0], [0.05, 0.1, 0.3, 0.2, -0.1]]
+
+
+@pytest.mark.parametrize("starts", [_SHARED_HEADS, _MIXED_HEADS])
+def test_observed_cascade_is_the_batch_solve_at_k_obs(axis, starts):
+    grid = TimeGrid(T=1.0, steps=512)
+    k_obs = 375
+    w = brownian_values_batch(grid, 1, 4, 0, 40)[:, :, 0]
+    obs = solve_cascade_observed(axis, grid, w, np.array(starts, dtype=float), k_obs)
+    assert obs.shape == (len(starts), 40, 5)
+    flags = []
+    for start, o in zip(starts, obs):
+        full = solve_cascade_batch(axis, grid, w, start)[:, : k_obs + 1]
+        bad = _first_bad_steps(full) >= 0
+        assert np.array_equal(~np.all(np.isfinite(o), axis=-1), bad)
+        assert np.array_equal(o[~bad], full[~bad, -1])  # == ignores the sign of a zero
+        flags.append(bad)
+    if starts is _MIXED_HEADS:
+        assert 0 < flags[1].sum() < 40 and flags[2].all()
 
 
 def test_cascade_requires_scalar_path(axis):
