@@ -4,7 +4,7 @@ the initial value only logarithmically.
 Layout:
 
   bumps       smooth compactly supported bump profiles and sup norms
-  quadrature  adaptive Simpson and Gauss-Legendre helpers
+  quadrature  adaptive Simpson and per-cell Gauss-Legendre
   model       drift/diffusion fields, Lyapunov functions, inequality checks
   paths       counter-based Brownian path sampling (reproducible by index)
   solvers     cascade integrator, (tamed) Euler, first-variation flow
@@ -29,14 +29,8 @@ from .model import (
     eval_U,
     verify_model_bounds,
 )
-from .paths import BrownianPath, TimeGrid, path_seed, sample_brownian
-from .solvers import (
-    SolutionPath,
-    SolverExplosionError,
-    solve_cascade,
-    solve_em,
-    solve_variation,
-)
+from .paths import TimeGrid, path_seed
+from .solvers import SolverExplosionError
 from .bounds import (
     DomainError,
     HoelderCompParams,
@@ -68,7 +62,6 @@ from .reports import CheckReport
 
 __all__ = [
     "AxisAlignedModel",
-    "BrownianPath",
     "BumpFunction",
     "CheckReport",
     "DistanceEstimate",
@@ -82,7 +75,6 @@ __all__ = [
     "Lemma21Params",
     "ModelParams",
     "QuadratureToleranceError",
-    "SolutionPath",
     "SolverExplosionError",
     "SweepResult",
     "TimeGrid",
@@ -106,11 +98,7 @@ __all__ = [
     "lemma21_rhs",
     "make_normalized_bump",
     "path_seed",
-    "sample_brownian",
     "sandwich_check",
-    "solve_cascade",
-    "solve_em",
-    "solve_variation",
     "stdnorm_variance",
     "stdnormality_test",
     "sup_bounds",

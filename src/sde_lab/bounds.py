@@ -17,9 +17,9 @@ from scipy import integrate
 
 from . import bumps
 from .bumps import BumpFunction
+from .paths import TimeGrid
 from .quadrature import QuadratureToleranceError, adaptive_simpson, gauss_legendre_cells
 from .reports import CheckReport
-from .solvers import SolutionPath
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TINY_LOG = math.log(5e-324)  # smallest subnormal; floor for log of solver output
@@ -78,10 +78,6 @@ class KappaSchedule:
         k = self.kappas
         if np.any(k < 0.0) or np.any(np.diff(k) < 0.0):
             raise ValueError("kappa schedule must be nonnegative and nondecreasing")
-
-    @property
-    def values(self) -> dict:
-        return dict(zip(self.times.tolist(), self.kappas.tolist()))
 
     def at_index(self, k: int) -> float:
         return float(self.kappas[k])
@@ -216,23 +212,31 @@ def stdnorm_variance(g: BumpFunction, tau: float, n_nodes: int = 400) -> float:
 
 
 def sandwich_check(
-    path: SolutionPath, eps: float, schedule: KappaSchedule, *, n: int = 4
+    grid: TimeGrid,
+    states: np.ndarray,
+    eps: float,
+    schedule: KappaSchedule,
+    *,
+    n: int = 4,
 ) -> CheckReport:
     """Pathwise check of the exponential envelope of the fourth coordinate.
 
-    For every grid time t >= tau, with Z the (frozen) third coordinate at tau
-    and kap = schedule value at t:
+    states is one cascade path on grid, shape (steps+1, 5). For every grid
+    time t >= tau, with Z the (frozen) third coordinate at tau and kap =
+    schedule value at t:
 
         eps exp(kap Z^n - eps^2 kap exp(2 kap Z^n)) <= X4(t) <= eps exp(kap Z^n)
 
     compared in log space with relative slack 1e-3 for solver error. n is the
-    drift power of the model the path was solved under.
+    drift power of the model the path was solved under. A non-finite X4, or
+    for eps > 0 a non-finite Z, fails the check.
     """
-    grid = path.grid
+    if len(states) != grid.steps + 1:
+        raise ValueError(f"states shape {states.shape} does not match grid")
     if len(schedule.times) != grid.steps + 1:
         raise ValueError("schedule grid does not match path grid")
     k_tau = grid.nearest_index(schedule.tau)
-    x4 = path.states[k_tau:, 3]
+    x4 = states[k_tau:, 3]
     if eps == 0.0:
         worst = float(np.max(np.abs(x4)))
         return CheckReport(
@@ -243,7 +247,7 @@ def sandwich_check(
             passed=worst == 0.0,
         )
 
-    z = path.states[k_tau, 2]
+    z = states[k_tau, 2]
     kap = schedule.kappas[k_tau:]
     a = kap * z**n
     ln_eps = math.log(eps)

@@ -153,9 +153,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(report: CheckReport, verbose: bool = True) -> int:
-    if verbose or not report.passed:
-        print(report.to_json(indent=2))
+def _emit(report: CheckReport) -> int:
+    print(report.to_json(indent=2))
     return 0 if report.passed else 1
 
 
@@ -202,22 +201,25 @@ def cmd_stdnorm_check(config: ExperimentConfig, args) -> int:
 def cmd_simulate(config: ExperimentConfig, args) -> int:
     gm = _build_general(config)
     grid = paths_mod.TimeGrid(T=config.T, steps=config.steps())
-    W = paths_mod.sample_brownian(grid, config.m, config.resolved_seed(), args.path_index)
+    w = paths_mod.brownian_values_batch(
+        grid, config.m, config.resolved_seed(), args.path_index, 1
+    )
     params = gm.params
     x0 = params.v + args.x0_eps * params.delta
     if config.solver == "cascade":
         y0 = gm.Binv @ (x0 - params.v)
-        w = W.values[None, :, 0]
-        states = solvers.solve_cascade_general(gm, grid, w, y0)[0]
-        X = solvers.SolutionPath(grid, states, states[0])
+        states = solvers.solve_cascade_general(gm, grid, w[:, :, 0], y0)
     else:
-        X = solvers.solve_em(gm, W, x0, taming=config.taming)
+        states = solvers.solve_em_batch(gm, grid, w, x0, taming=config.taming)
+    first_bad = int(solvers._first_bad_steps(states)[0])
+    if first_bad >= 0:
+        raise solvers.SolverExplosionError(first_bad)
     os.makedirs(config.output_dir, exist_ok=True)
     files = ["brownian.csv", "solution.csv"]  # relative to --output
     with open(os.path.join(config.output_dir, files[0]), "w") as fh:
-        paths_mod.write_brownian_csv(W, fh)
+        paths_mod.write_brownian_csv(grid, w[0], fh)
     with open(os.path.join(config.output_dir, files[1]), "w") as fh:
-        solvers.write_solution_csv(X, fh)
+        solvers.write_solution_csv(grid, states[0], fh)
     print(json.dumps({"check": "simulate", "passed": True, "files": files}))
     return 0
 
@@ -475,15 +477,17 @@ def _config_overrides(ns: argparse.Namespace) -> dict:
     for key in ("v", "delta"):
         if over.get(key) is not None:
             over[key] = [float(s) for s in str(over[key]).split(",")]
-    eps_flag = getattr(ns, "eps", None)
-    if eps_flag is not None and ns.command != "simulate":
-        over["eps_grid"] = [_parse_eps_value(s) for s in eps_flag.split(",")]
-    elif getattr(ns, "eps_start_exponent", None) is not None:
-        over["eps_grid"] = {
-            "start_exponent": ns.eps_start_exponent,
-            "stop_exponent": ns.eps_stop_exponent,
-            "per_decade": ns.eps_per_decade or 1,
-        }
+    ladder = {
+        key: getattr(ns, "eps_" + key)
+        for key in ("start_exponent", "stop_exponent", "per_decade")
+        if getattr(ns, "eps_" + key) is not None
+    }
+    if ns.eps is not None and ladder:
+        raise ConfigError(f"eps_grid: --eps excludes the ladder flags, got {ladder}")
+    if ns.eps is not None:
+        over["eps_grid"] = [_parse_eps_value(s) for s in ns.eps.split(",")]
+    elif ladder:  # a partial ladder fails in ExperimentConfig.epsilons
+        over["eps_grid"] = ladder
     return over
 
 

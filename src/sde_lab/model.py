@@ -95,9 +95,10 @@ class AxisAlignedModel:
 class GeneralModel:
     """Affine-conjugated model on R^d with drift mu(x) = B nu~(B^{-1}(x-v)).
 
-    kappa is the growth constant 2*vk*(1 + ||delta||^-1 2^vk max(1,||v||^vk))
-    (vk = base.varkappa); it overflows float64 for every interesting bump, so
-    log_kappa carries the usable value and kappa may be inf.
+    log_kappa is the log of the growth constant
+    kappa = 2*vk*(1 + ||delta||^-1 2^vk max(1,||v||^vk)) (vk = base.varkappa),
+    kept in log space because kappa overflows float64 for every interesting
+    bump.
     """
 
     base: AxisAlignedModel
@@ -105,7 +106,6 @@ class GeneralModel:
     B: np.ndarray = field(repr=False)
     Binv: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)  # d x m, only column 1 nonzero
-    kappa: float
     log_kappa: float
 
     @property
@@ -248,14 +248,12 @@ def build_general(model: AxisAlignedModel) -> GeneralModel:
     log_max_term = max(0.0, vk * np.log(vnorm)) if vnorm > 0.0 else 0.0
     s = vk * np.log(2.0) + log_max_term - np.log(dnorm)
     log_kappa = float(np.log(2.0 * vk) + np.logaddexp(0.0, s))
-    kappa = float(np.exp(log_kappa)) if log_kappa < 709.0 else float("inf")
     return GeneralModel(
         base=model,
         A=_readonly(A),
         B=_readonly(B),
         Binv=_readonly(Binv),
         sigma=_readonly(sigma),
-        kappa=kappa,
         log_kappa=log_kappa,
     )
 

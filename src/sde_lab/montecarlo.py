@@ -6,9 +6,10 @@ each sample distance is exactly the coupled difference the theory speaks
 about and the common noise cancels out of the variance. On the cascade
 route one solver call per chunk computes X1..X3 once and runs one RK4 over
 the stacked starts, from the first step where f acts to the observation
-step t, keeping only the state at t. A path aborts when its state at t is
-non-finite, which no solver stage undoes, so this is the same as a
-non-finite state at some step up to t; what happens after t does not count.
+step t, keeping only the state at t. A path aborts for two causes: its
+state at t is non-finite (no solver stage undoes that, so this is the same
+as a non-finite state at some step up to t; what happens after t does not
+count), or its states are finite but their distance overflows to inf.
 Determinism contract: results are a pure function of (model, inputs,
 master_seed); thread count and chunking cannot change a single bit because
 every path's randomness is derived from its global index alone and the
@@ -47,8 +48,10 @@ class DistanceEstimate:
     """Sample mean of ||X^x(t) - X^y(t)|| under synchronous coupling.
 
     t is the realized grid time (the requested time snapped to the grid);
-    distances keeps the per-path samples (nan where aborted) so that paired
-    statistics across estimates sharing a seed remain possible.
+    distances keeps the per-path samples so that paired statistics across
+    estimates sharing a seed remain possible. aborted counts the samples that
+    are not finite: nan where a state is non-finite at t, inf where finite
+    states are so far apart that the distance overflows.
     """
 
     x: np.ndarray = field(repr=False)
@@ -213,7 +216,8 @@ def sweep_epsilon(
     the same paths (same master_seed), adjacent estimates are positively
     correlated, and slope estimates benefit from the common-noise
     cancellation. A path aborts for an epsilon when its reference or
-    perturbed state is non-finite at t; blow-ups after t do not count.
+    perturbed state is non-finite at t (blow-ups after t do not count) or
+    when the distance between the two finite states overflows.
     """
     params = model.params
     eps = np.asarray(eps_grid, dtype=float)

@@ -9,7 +9,7 @@ change. Gaussians come from a splitmix-style 64-bit avalanche mix applied to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,47 +47,6 @@ class TimeGrid:
         return min(max(k, 0), self.steps)
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Discretized m-dimensional Brownian path; values has shape (steps+1, m)."""
-
-    grid: TimeGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != self.grid.steps + 1:
-            raise ValueError(f"values shape {v.shape} does not match grid")
-        if np.any(v[0] != 0.0):
-            raise ValueError("Brownian path must start at 0")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-
-def mix64(z: int) -> int:
-    """Scalar splitmix-style avalanche of a 64-bit integer (pure Python ints)."""
-    z = (z + _GOLD) & _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
-    return z
-
-
-def path_seed(master_seed: int, path_index: int) -> int:
-    """Derive the per-path substream seed; avalanched so that adjacent
-    (seed, index) pairs share no structure.
-
-    The index enters raw and the master pre-mixed, keeping the map
-    asymmetric: swapping the roles of seed and index must not alias two
-    experiments onto one path stream.
-    """
-    return mix64(mix64(master_seed & _MASK) ^ (path_index & _MASK))
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     # uint64 arrays wrap silently (unlike numpy scalars, which warn)
     z = (z + np.uint64(_GOLD))
@@ -97,6 +56,23 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
+
+
+def path_seed(master_seed: int, path_index: int | range) -> np.ndarray:
+    """Per-path substream seeds for one path index or a range of them.
+
+    Returns one uint64 seed per index: mix(mix(master) ^ index), with master
+    and index reduced mod 2^64, so negative and wide Python ints are valid.
+    The index enters raw and the master pre-mixed, keeping the map
+    asymmetric: swapping the roles of seed and index must not alias two
+    experiments onto one path stream. The map is elementwise, so a range
+    gives the same seeds as its indices taken one at a time.
+    """
+    r = path_index if isinstance(path_index, range) else range(path_index, path_index + 1)
+    key = _mix64_array(np.array([master_seed & _MASK], dtype=np.uint64))
+    step = np.arange(len(r), dtype=np.uint64) * np.uint64(r.step & _MASK)
+    return _mix64_array(key ^ (np.uint64(r.start & _MASK) + step))
+
 
 def normals_for_seeds(seeds: np.ndarray, count: int) -> np.ndarray:
     """(len(seeds), count) standard normals, row i driven only by seeds[i].
@@ -124,13 +100,10 @@ def brownian_values_batch(
 ) -> np.ndarray:
     """Brownian values for path indices start_index..start_index+n_paths-1.
 
-    Returns shape (n_paths, steps+1, m). Row i is bit-identical to
-    sample_brownian(grid, m, master_seed, start_index + i).values.
+    Returns shape (n_paths, steps+1, m). Row i depends on (master_seed,
+    start_index + i) alone: it is the same in every batch that draws it.
     """
-    seeds = np.array(
-        [path_seed(master_seed, start_index + i) for i in range(n_paths)],
-        dtype=np.uint64,
-    )
+    seeds = path_seed(master_seed, range(start_index, start_index + n_paths))
     z = normals_for_seeds(seeds, grid.steps * m)
     inc = z.reshape(n_paths, grid.steps, m) * np.sqrt(grid.dt)
     vals = np.empty((n_paths, grid.steps + 1, m))
@@ -139,18 +112,8 @@ def brownian_values_batch(
     return vals
 
 
-def sample_brownian(
-    grid: TimeGrid, m: int, master_seed: int, path_index: int
-) -> BrownianPath:
-    """Sample the Brownian path for one (master_seed, path_index) pair."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    vals = brownian_values_batch(grid, m, master_seed, path_index, 1)[0]
-    return BrownianPath(grid=grid, values=vals)
-
-
-def write_brownian_csv(path: BrownianPath, fileobj) -> None:
-    """Dump a path as CSV with header t,w1,...,wm."""
-    header = "t," + ",".join(f"w{j+1}" for j in range(path.m))
-    data = np.column_stack([path.grid.times, path.values])
+def write_brownian_csv(grid: TimeGrid, values: np.ndarray, fileobj) -> None:
+    """Dump one path, values of shape (steps+1, m), as CSV with header t,w1,...,wm."""
+    header = "t," + ",".join(f"w{j+1}" for j in range(values.shape[1]))
+    data = np.column_stack([grid.times, values])
     np.savetxt(fileobj, data, fmt="%.17g", delimiter=",", header=header, comments="")

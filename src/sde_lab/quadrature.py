@@ -112,10 +112,3 @@ def gauss_legendre_cells(func, edges):
     vals = func(pts)
     return half * (vals @ _GL5_W)
 
-
-def gauss_legendre(func, a, b, n):
-    """Fixed-order composite Gauss-Legendre integral with n nodes on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return half * np.sum(w * func(mid + half * x))

@@ -12,20 +12,19 @@ runs it only over the steps where f acts up to the observation step, and
 returns that step alone. The Euler scheme knows nothing about the structure
 and serves as the independent cross-check.
 
-All computational cores are batched over paths (leading axis); the public
-single-path operations are thin wrappers around a batch of one, so both
-entry points produce bit-identical numbers.
+Every solver is batched over paths (leading axis), and a caller that wants
+one path passes a batch of one: rows never depend on each other, so a path
+gets the same bits in any batch. Non-finite states are left in place for
+the caller to classify (_first_bad_steps).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bumps, model as model_mod
 from .model import AxisAlignedModel, GeneralModel
-from .paths import BrownianPath, TimeGrid
+from .paths import TimeGrid
 
 
 class SolverExplosionError(RuntimeError):
@@ -34,28 +33,6 @@ class SolverExplosionError(RuntimeError):
     def __init__(self, step_index: int):
         super().__init__(f"non-finite state first reached at step {step_index}")
         self.step_index = step_index
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionPath:
-    """States on the grid, shape (steps+1, d), with states[0] = initial."""
-
-    grid: TimeGrid
-    states: np.ndarray = field(repr=False)
-    initial: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        s = self.states
-        if s.ndim != 2 or s.shape[0] != self.grid.steps + 1:
-            raise ValueError(f"states shape {s.shape} does not match grid")
-        if not np.all(np.isfinite(s)):
-            raise SolverExplosionError(int(_first_bad_steps(s[None, ...])[0]))
-        if not np.array_equal(s[0], np.asarray(self.initial, dtype=float)):
-            raise ValueError("states[0] must equal the initial value")
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[1]
 
 
 def _first_bad_steps(states: np.ndarray) -> np.ndarray:
@@ -207,15 +184,6 @@ def solve_cascade_observed(
     return np.stack(cols, axis=-1)
 
 
-def solve_cascade(axis: AxisAlignedModel, W: BrownianPath, x0) -> SolutionPath:
-    """Solve the 5-d cascade along one scalar Brownian path."""
-    if W.m != 1:
-        raise ValueError(f"cascade solver needs a scalar path, got m={W.m}")
-    x0 = np.asarray(x0, dtype=float)
-    states = solve_cascade_batch(axis, W.grid, W.values[:, 0][None, :], x0)[0]
-    return SolutionPath(grid=W.grid, states=states, initial=x0)
-
-
 def solve_cascade_general(
     gm: GeneralModel, grid: TimeGrid, w: np.ndarray, y0
 ) -> np.ndarray:
@@ -264,15 +232,6 @@ def solve_em_batch(
     return out
 
 
-def solve_em(gm: GeneralModel, W: BrownianPath, x0, taming: bool = True) -> SolutionPath:
-    """Euler(-tamed) solution along one Brownian path."""
-    if W.m != gm.params.m:
-        raise ValueError(f"path has m={W.m}, model expects {gm.params.m}")
-    x0 = np.asarray(x0, dtype=float)
-    states = solve_em_batch(gm, W.grid, W.values[None, ...], x0, taming=taming)[0]
-    return SolutionPath(grid=W.grid, states=states, initial=x0)
-
-
 def solve_variation_batch(
     gm: GeneralModel, grid: TimeGrid, states: np.ndarray, h
 ) -> np.ndarray:
@@ -309,15 +268,8 @@ def solve_variation_batch(
     return out
 
 
-def solve_variation(gm: GeneralModel, X: SolutionPath, h) -> SolutionPath:
-    """First-variation path along one solution path."""
-    h = np.asarray(h, dtype=float)
-    states = solve_variation_batch(gm, X.grid, X.states[None, ...], h)[0]
-    return SolutionPath(grid=X.grid, states=states, initial=h)
-
-
-def write_solution_csv(path: SolutionPath, fileobj) -> None:
-    """Dump a path as CSV with header t,x1,...,xd."""
-    header = "t," + ",".join(f"x{j+1}" for j in range(path.d))
-    data = np.column_stack([path.grid.times, path.states])
+def write_solution_csv(grid: TimeGrid, states: np.ndarray, fileobj) -> None:
+    """Dump one path, states of shape (steps+1, d), as CSV with header t,x1,...,xd."""
+    header = "t," + ",".join(f"x{j+1}" for j in range(states.shape[1]))
+    data = np.column_stack([grid.times, states])
     np.savetxt(fileobj, data, fmt="%.17g", delimiter=",", header=header, comments="")

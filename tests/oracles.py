@@ -35,6 +35,14 @@ def fd_jacobian(func, x, step):
     return jac
 
 
+def gauss_legendre(func, a, b, n):
+    """Fixed-order composite Gauss-Legendre integral with n nodes on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    return half * np.sum(w * func(mid + half * x))
+
+
 def _scalar_bump(f):
     """Plain-Python evaluator of the bump profile (fast inside ODE loops)."""
     a, b, eta = f.a, f.b, f.eta

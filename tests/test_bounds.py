@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from oracles import gauss_legendre
 from sde_lab.bounds import (
     DomainError,
     HoelderCompParams,
@@ -28,9 +29,8 @@ from sde_lab.bounds import (
 )
 from sde_lab.bumps import BumpFunction, make_normalized_bump
 from sde_lab.model import ModelParams, build_axis_aligned
-from sde_lab.paths import TimeGrid, sample_brownian
-from sde_lab.quadrature import gauss_legendre
-from sde_lab.solvers import SolutionPath, solve_cascade
+from sde_lab.paths import TimeGrid, brownian_values_batch
+from sde_lab.solvers import solve_cascade_batch
 
 # 30-digit-arithmetic reference values for the profile on (0.5, 1)
 INT_F = 0.3833828194756589559732
@@ -129,7 +129,7 @@ def test_kappa_schedule_matches_pointwise(f_bump):
         assert sched.at_index(k) == pytest.approx(
             kappa_t(f_bump, 0.5, grid.times[k]), rel=1e-9, abs=1e-12
         )
-    assert sched.values[1.0] == pytest.approx(KAPPA_T_FINAL, rel=1e-9)
+    assert sched.kappas[-1] == pytest.approx(KAPPA_T_FINAL, rel=1e-9)
 
 
 def test_kappa_schedule_validation(f_bump):
@@ -168,55 +168,66 @@ def test_stdnorm_variance_domain(f_bump):
 def _cascade_path(eps, seed, idx, steps=2048):
     axis = build_axis_aligned(ModelParams())
     grid = TimeGrid(T=1.0, steps=steps)
-    W = sample_brownian(grid, 1, seed, idx)
+    w = brownian_values_batch(grid, 1, seed, idx, 1)[:, :, 0]
     x0 = np.zeros(5)
     x0[3] = eps
-    sol = solve_cascade(axis, W, x0)
+    states = solve_cascade_batch(axis, grid, w, x0)[0]
     sched = build_kappa_schedule(axis.f, 0.5, grid.times)
-    return axis, sol, sched
+    return grid, states, sched
 
 
 def test_sandwich_holds_on_simulated_paths():
     for idx in range(5):
-        axis, sol, sched = _cascade_path(0.05, seed=101, idx=idx)
-        rep = sandwich_check(sol, 0.05, sched, n=4)
+        grid, states, sched = _cascade_path(0.05, seed=101, idx=idx)
+        rep = sandwich_check(grid, states, 0.05, sched, n=4)
         assert rep.passed, rep.params
         assert rep.max_violation <= 0.0
 
 
 def test_sandwich_value_at_tau_is_eps():
-    _, sol, sched = _cascade_path(0.2, seed=102, idx=0)
-    k_tau = sol.grid.nearest_index(0.5)
+    grid, states, sched = _cascade_path(0.2, seed=102, idx=0)
+    k_tau = grid.nearest_index(0.5)
     # both envelope sides collapse to eps at tau, and the path sits there
-    assert sol.states[k_tau, 3] == 0.2
+    assert states[k_tau, 3] == 0.2
     assert sched.at_index(k_tau) == 0.0
 
 
 def test_sandwich_eps_zero():
-    axis, sol, sched = _cascade_path(0.0, seed=103, idx=0)
-    rep = sandwich_check(sol, 0.0, sched, n=4)
+    grid, states, sched = _cascade_path(0.0, seed=103, idx=0)
+    rep = sandwich_check(grid, states, 0.0, sched, n=4)
     assert rep.passed
     assert rep.max_violation == 0.0
 
 
 def test_sandwich_detects_tampering():
-    _, sol, sched = _cascade_path(0.05, seed=104, idx=0)
-    k_tau = sol.grid.nearest_index(0.5)
-    bad = sol.states.copy()
+    grid, states, sched = _cascade_path(0.05, seed=104, idx=0)
+    k_tau = grid.nearest_index(0.5)
+    bad = states.copy()
     bad[k_tau + 1 :, 3] *= 1.01  # push above the upper envelope
-    tampered = SolutionPath(grid=sol.grid, states=bad, initial=bad[0].copy())
-    rep = sandwich_check(tampered, 0.05, sched, n=4)
+    rep = sandwich_check(grid, bad, 0.05, sched, n=4)
     assert not rep.passed
     assert rep.max_violation > 0.0
     assert "worst_t" in rep.params
 
 
+@pytest.mark.parametrize("eps, coord, offset", [(0.05, 3, 7), (0.0, 3, 7), (0.05, 2, 0)])
+def test_sandwich_fails_on_non_finite_states(eps, coord, offset):
+    # X4 after tau, or Z = X3(tau); Z does not enter the eps = 0 check
+    grid, states, sched = _cascade_path(eps, seed=106, idx=0)
+    bad = states.copy()
+    bad[grid.nearest_index(0.5) + offset, coord] = np.nan
+    rep = sandwich_check(grid, bad, eps, sched, n=4)
+    assert not rep.passed
+
+
 def test_sandwich_grid_mismatch():
-    _, sol, _ = _cascade_path(0.05, seed=105, idx=0)
+    grid, states, _ = _cascade_path(0.05, seed=105, idx=0)
     axis = build_axis_aligned(ModelParams())
     other = build_kappa_schedule(axis.f, 0.5, np.linspace(0.0, 1.0, 33))
     with pytest.raises(ValueError, match="does not match path grid"):
-        sandwich_check(sol, 0.05, other, n=4)
+        sandwich_check(grid, states, 0.05, other, n=4)
+    with pytest.raises(ValueError, match="does not match grid"):
+        sandwich_check(grid, states[:-1], 0.05, other, n=4)
 
 
 def test_hoeldercomp_threshold_closed_form():

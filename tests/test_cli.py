@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sde_lab import cli, model as model_mod, montecarlo, solvers
+from sde_lab import cli, model as model_mod, montecarlo, paths, solvers
 from sde_lab.quadrature import QuadratureToleranceError
 from sde_lab.reports import CheckReport
 
@@ -138,9 +138,18 @@ def test_main_bad_env_seed(monkeypatch, capsys):
 
 
 def test_main_incomplete_ladder_flags(capsys):
-    code, out, err = run_main(["sweep", "--eps-start-exponent", "1"], capsys)
-    assert code == 2
-    assert "eps_grid" in json.loads(err)["error"]
+    # a partial ladder, or one next to --eps, is an error, never ignored
+    for flags in [
+        ["--eps-start-exponent", "1"],
+        ["--eps-stop-exponent", "3"],
+        ["--eps-per-decade", "2"],
+        ["--eps-stop-exponent", "3", "--eps-per-decade", "2"],
+        ["--eps", "0.1,0.05", "--eps-start-exponent", "1", "--eps-stop-exponent", "3"],
+        ["--eps", "0.1,0.05", "--eps-per-decade", "2"],
+    ]:
+        code, out, err = run_main(["sweep", *flags], capsys)
+        assert code == 2, flags
+        assert "eps_grid" in json.loads(err)["error"]
 
 
 def test_main_narrow_support_is_a_config_error(capsys):
@@ -169,7 +178,8 @@ def _raiser(exc):
          montecarlo.EstimationFailedError("all 2 paths aborted")),
         (["transform-check", "--paths", "2"], solvers, "solve_em_batch",
          solvers.SolverExplosionError(7)),
-        (["simulate", "--solver", "em"], solvers, "solve_em", solvers.SolverExplosionError(3)),
+        (["simulate", "--solver", "em"], solvers, "solve_em_batch",
+         solvers.SolverExplosionError(3)),
     ],
 )
 def test_main_run_time_failure_is_a_failed_check(monkeypatch, capsys, argv, module, name, exc):
@@ -276,6 +286,28 @@ def test_simulate_euler_route(tmp_path, capsys):
     assert len(xlines) == 512 + 2
     first = np.fromstring(xlines[1], sep=",")
     np.testing.assert_allclose(first, [0.0, 0.0, 0.0, 0.0, 0.01, 0.0], atol=1e-15)
+
+
+def test_simulate_path_index_wraps_mod_2_64(tmp_path, capsys):
+    argv = ["simulate", "--dt", "0.001953125", "--seed", "3", "--output", str(tmp_path)]
+    code, out, err = run_main([*argv, "--path-index", "-1"], capsys)
+    assert code == 0
+    w = np.loadtxt(tmp_path / "brownian.csv", delimiter=",", skiprows=1)[:, 1]
+    grid = paths.TimeGrid(T=1.0, steps=512)
+    assert np.array_equal(w, paths.brownian_values_batch(grid, 1, 3, 2**64 - 1, 1)[0, :, 0])
+
+
+def test_simulate_reports_its_own_explosion(tmp_path, capsys):
+    # x4 = 1e200 squares to inf at the first step; nothing is written
+    code, out, err = run_main(
+        ["simulate", "--x0-eps", "1e200", "--dt", "0.001953125", "--output", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "check": "simulate", "passed": False, "error": "non-finite state first reached at step 1",
+    }
+    assert list(tmp_path.iterdir()) == []
 
 
 SWEEP_ARGS = [

@@ -157,6 +157,8 @@ def test_paths_abort_only_when_non_finite_by_t(general):
     assert by_t.any()
     assert np.array_equal(np.isnan(est.distances), by_t)
     assert np.any(by_T & ~by_t & np.isfinite(est.distances))
+    # aborted also counts finite states whose distance overflows to inf
+    assert (est.aborted, by_t.sum(), np.isinf(est.distances).sum()) == (11, 9, 2)
 
 
 def test_distance_estimate_consistency_guard():

@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gauss_legendre
 from sde_lab import quadrature
-from sde_lab.quadrature import (
-    QuadratureToleranceError,
-    adaptive_simpson,
-    gauss_legendre,
-    gauss_legendre_cells,
-)
+from sde_lab.quadrature import QuadratureToleranceError, adaptive_simpson, gauss_legendre_cells
 
 
 def test_simpson_exponential():
