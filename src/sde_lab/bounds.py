@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import bumps
 from .bumps import BumpFunction
@@ -126,6 +125,8 @@ def lemma21_lhs(prm: Lemma21Params) -> float:
     the correction term reaches unit size. The integrand is assembled in log
     space so the inner exponential cannot overflow.
     """
+    from scipy import integrate  # imported here: no other command needs it
+
     p, kappa, eps = prm.p, prm.kappa, prm.eps
     ln_eps = math.log(eps)
     ln_e2k = 2.0 * ln_eps + math.log(kappa)

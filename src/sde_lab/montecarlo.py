@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import bounds as bounds_mod, bumps
 from .model import AxisAlignedModel, GeneralModel
@@ -33,6 +32,13 @@ from .reports import CheckReport
 from .solvers import _x3_trapezoid, solve_cascade_observed, solve_em_batch
 
 _CHUNK = 1024  # performance knob only; results are chunk-size independent
+# stdnorm-check draws its paths in blocks of about this many path steps, also
+# a performance knob only. A block's largest arrays then hold at most 2^15
+# words (256 KiB; 16 paths at the default grid): they stay in L2, and the
+# allocator reuses their memory instead of mapping fresh pages per block. On a
+# 2-core Xeon (2 MiB L2 per core, glibc), run right after import, blocks of
+# 2^16 words and more spent a sixth to a quarter of their time in page faults
+_STDNORM_BLOCK_STEPS = 1 << 14
 
 
 class EstimationFailedError(RuntimeError):
@@ -93,8 +99,8 @@ def _default_steps(T: float) -> int:
 
 
 def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, ref, others, out):
-    # full-horizon draw: each Box-Muller normal pairs counter j with npairs + j,
-    # so a shorter draw would change the bits of the columns read here
+    # full-horizon draw; keep=k_obs would give these columns' bits with less
+    # work, left for a change that measures the sweep on its own
     w = brownian_values_batch(grid, gm.params.m, seed, lo, hi - lo)[:, : k_obs + 1]
     if solver == "cascade":
         starts = np.array([ref, *others])[:, :5]
@@ -299,8 +305,9 @@ def fit_exponent(result: SweepResult, window: int = 2) -> np.ndarray:
 
 def _x3_at_tau_chunk(grid, gp, k_tau, seed, lo, hi, out):
     # trapezoidal X3(tau) = int_0^tau g'(s) W(s) ds from the origin; the
-    # cascade solver's own quadrature, so it matches the solver bit for bit
-    w = brownian_values_batch(grid, 1, seed, lo, hi - lo)[:, : k_tau + 1, 0]
+    # cascade solver's own quadrature, so it matches the solver bit for bit.
+    # Only the first k_tau steps are drawn, with the full path's bits.
+    w = brownian_values_batch(grid, 1, seed, lo, hi - lo, keep=k_tau)[:, :, 0]
     x3 = np.empty_like(w)
     _x3_trapezoid(gp[: k_tau + 1], w, grid.dt, 0.0, x3)
     out[lo:hi] = x3[:, -1]
@@ -314,27 +321,30 @@ def stdnormality_test(
     Simulates X3(tau) from the origin (a trapezoidal functional of W), then
     tests mean within 4/sqrt(N), variance within 1 +- 8/sqrt(N), and the
     Kolmogorov-Smirnov statistic below the 1% critical value 1.63/sqrt(N).
+    Needs N >= 2 paths; a NaN statistic fails the check.
     """
+    if n_paths < 2:
+        raise ValueError(f"need at least 2 paths, got {n_paths}")
+    from scipy import stats  # imported here: no other command needs it
+
     params = model.params
     grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
     k_tau = grid.nearest_index(params.tau)
     gp = bumps.eval(model.g, grid.times, 1)
     samples = np.empty(n_paths)
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
+    block = max(1, _STDNORM_BLOCK_STEPS // max(k_tau, 1))
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
         _x3_at_tau_chunk(grid, gp, k_tau, master_seed, lo, hi, samples)
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1))
-    ks = float(scipy_stats.kstest(samples, "norm").statistic)
+    ks = float(stats.kstest(samples, "norm").statistic)
     rn = math.sqrt(n_paths)
     mean_tol = 4.0 / rn
     var_tol = 8.0 / rn
     ks_crit = 1.63 / rn
-    excess = max(
-        abs(mean) - mean_tol,
-        abs(var - 1.0) - var_tol,
-        ks - ks_crit,
-    )
+    # np.max propagates a NaN, where Python's max drops one not in first place
+    excess = float(np.max([abs(mean) - mean_tol, abs(var - 1.0) - var_tol, ks - ks_crit]))
     return CheckReport(
         check="stdnormality",
         params={
@@ -347,7 +357,7 @@ def stdnormality_test(
             "ks_critical_1pct": ks_crit,
             "violation_scale": "absolute_excess",
         },
-        max_violation=float(excess),
+        max_violation=excess,
         grid_size=n_paths,
         passed=excess <= 0.0,
     )

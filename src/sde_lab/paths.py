@@ -4,7 +4,9 @@ Reproducibility contract: a path is a pure function of
 (master_seed, path_index). There is no shared generator state, so paths can
 be produced in any order, in chunks, or concurrently, and the bits never
 change. Gaussians come from a splitmix-style 64-bit avalanche mix applied to
-(path_seed, counter) pairs, pushed through Box-Muller.
+(path_seed, counter) pairs, pushed through Box-Muller. Their layout depends on
+the grid alone, so the first k steps of a path can be drawn on their own, with
+the bits of the full path's first k steps and only the work they need.
 """
 
 from __future__ import annotations
@@ -47,15 +49,20 @@ class TimeGrid:
         return min(max(k, 0), self.steps)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over the uint64 array z, overwriting it; returns z."""
     # uint64 arrays wrap silently (unlike numpy scalars, which warn)
-    z = (z + np.uint64(_GOLD))
+    z += np.uint64(_GOLD)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
 
 
 def path_seed(master_seed: int, path_index: int | range) -> np.ndarray:
@@ -74,41 +81,70 @@ def path_seed(master_seed: int, path_index: int | range) -> np.ndarray:
     return _mix64_array(key ^ (np.uint64(r.start & _MASK) + step))
 
 
-def normals_for_seeds(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(len(seeds), count) standard normals, row i driven only by seeds[i].
+def normals_for_seeds(seeds: np.ndarray, count: int, keep: int | None = None) -> np.ndarray:
+    """The first keep (default count) of count standard normals per seed.
 
-    Counters 1..2*ceil(count/2) are mixed with each seed and mapped through
-    Box-Muller. Elementwise throughout, so a row never depends on how many
-    other rows were generated alongside it.
+    Returns shape (len(seeds), keep); row i is driven only by seeds[i]. The
+    layout depends on count alone: with npairs = ceil(count/2), pair j mixes
+    counters j + 1 and npairs + j + 1 with the seed into uniforms (u1, u2),
+    and through Box-Muller normal j < npairs is r_j cos(theta_j) and normal
+    npairs + j is r_j sin(theta_j). A prefix (keep < count) has the bits of
+    the full draw's first keep columns: it mixes only the counters of pairs
+    below min(keep, npairs) and takes sines only of pairs below
+    keep - npairs. Elementwise throughout, so a row never depends on how
+    many other rows were generated alongside it.
     """
+    keep = count if keep is None else keep
+    if not 0 <= keep <= count:
+        raise ValueError(f"need 0 <= keep <= count, got keep={keep}, count={count}")
     seeds = np.asarray(seeds, dtype=np.uint64)
     npairs = (count + 1) // 2
-    ctr = np.arange(1, 2 * npairs + 1, dtype=np.uint64)
-    state = seeds[:, None] + ctr[None, :] * np.uint64(_GOLD)
-    bits = _mix64_array(state)
-    u = (bits >> np.uint64(11)).astype(np.float64) / _TWO53
-    u1 = u[:, :npairs] + 1.0 / _TWO53  # in (0, 1], log is safe
-    u2 = u[:, npairs:]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    return out[:, :count]
+    used = min(keep, npairs)  # every kept normal reads one of these pairs
+    ctr = np.r_[1 : used + 1, npairs + 1 : npairs + used + 1].astype(np.uint64)
+    bits = _mix64_inplace(seeds[:, None] + ctr * np.uint64(_GOLD))
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u /= _TWO53
+    r, theta = u[:, :used], u[:, used:]
+    r += 1.0 / _TWO53  # in (0, 1], log is safe
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    out = np.empty((len(seeds), keep))
+    if keep > npairs:
+        sines = out[:, npairs:]
+        np.sin(theta[:, : keep - npairs], out=sines)
+        sines *= r[:, : keep - npairs]
+    cosines = out[:, :used]
+    np.cos(theta, out=cosines)
+    cosines *= r
+    return out
 
 
 def brownian_values_batch(
-    grid: TimeGrid, m: int, master_seed: int, start_index: int, n_paths: int
+    grid: TimeGrid,
+    m: int,
+    master_seed: int,
+    start_index: int,
+    n_paths: int,
+    keep: int | None = None,
 ) -> np.ndarray:
     """Brownian values for path indices start_index..start_index+n_paths-1.
 
-    Returns shape (n_paths, steps+1, m). Row i depends on (master_seed,
-    start_index + i) alone: it is the same in every batch that draws it.
+    Returns shape (n_paths, keep+1, m): the values at t_0..t_keep, with keep
+    defaulting to grid.steps. The normals' layout depends on grid.steps and
+    m only, so a prefix has the bits of the full path's first keep+1 values.
+    Row i depends on (master_seed, start_index + i) alone: it is the same in
+    every batch that draws it.
     """
+    keep = grid.steps if keep is None else keep
     seeds = path_seed(master_seed, range(start_index, start_index + n_paths))
-    z = normals_for_seeds(seeds, grid.steps * m)
-    inc = z.reshape(n_paths, grid.steps, m) * np.sqrt(grid.dt)
-    vals = np.empty((n_paths, grid.steps + 1, m))
+    inc = normals_for_seeds(seeds, grid.steps * m, keep * m)
+    inc *= np.sqrt(grid.dt)
+    vals = np.empty((n_paths, keep + 1, m))
     vals[:, 0, :] = 0.0
-    np.cumsum(inc, axis=1, out=vals[:, 1:, :])
+    np.cumsum(inc.reshape(n_paths, keep, m), axis=1, out=vals[:, 1:, :])
     return vals
 
 

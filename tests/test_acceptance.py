@@ -6,6 +6,7 @@ tolerance and, where one is stated, the runtime budget. Full suite takes
 about five minutes single-threaded; the epsilon sweep dominates.
 """
 
+import hashlib
 import io
 import math
 import time
@@ -56,16 +57,20 @@ def test_headline_2_frozen_coordinate_is_standard_normal():
     report = montecarlo.stdnormality_test(axis, 100_000, 1, steps=2048)
     elapsed = time.perf_counter() - t0
     var_mc = report.params["var"]
+    # the report's bytes are frozen: a faster draw must not move a sample
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     ok = (
         abs(var_quad - 1.0) <= 1e-6
         and 0.97 <= var_mc <= 1.03
         and report.params["ks"] < report.params["ks_critical_1pct"]
         and report.passed
+        and digest == "4c605dfaf3882f2a50fb0c44e140cee234b3efa712b17b7110d15800a997b646"
         and elapsed < 60.0
     )
     _line(2, ok, f"quadrature variance {var_quad:.9f} = 1 +- 1e-6, sampled "
                  f"variance {var_mc:.4f} in [0.97, 1.03], KS {report.params['ks']:.5f} "
-                 f"< {report.params['ks_critical_1pct']:.5f}, {elapsed:.1f}s < 60s")
+                 f"< {report.params['ks_critical_1pct']:.5f}, report sha256 {digest[:12]} "
+                 f"frozen, {elapsed:.1f}s < 60s")
     assert ok
 
 

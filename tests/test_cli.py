@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +109,21 @@ def test_emit_prints_and_maps_exit_code(capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the commands that call it (stdnorm-check, lemma21)
+    code = (
+        "import sys, sde_lab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------- exit code 2
 
 
@@ -159,6 +176,15 @@ def test_main_narrow_support_is_a_config_error(capsys):
     )
     assert code == 2
     assert "too narrow" in json.loads(err)["error"]
+
+
+def test_main_stdnorm_check_needs_two_paths(capsys):
+    # 0 paths ended in a ZeroDivisionError traceback; 1 path passed on a NaN variance
+    for n in ("0", "1"):
+        code, out, err = run_main(["stdnorm-check", "--check-paths", n], capsys)
+        assert code == 2, n
+        assert out == ""
+        assert "at least 2 paths" in json.loads(err)["error"]
 
 
 # ---------------------------------------------------------------- run-time errors

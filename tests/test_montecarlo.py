@@ -283,15 +283,18 @@ def test_sweep_summary_serializes(general):
 
 
 def test_x3_samples_are_the_cascade_solvers_x3_at_tau():
-    axis = build_axis_aligned(ModelParams())
+    # the solver reads full-horizon paths, the check only the first k_tau
+    # steps; at tau = 0.8 those steps read sines of the Box-Muller pairs too
     grid = TimeGrid(T=1.0, steps=512)
-    k_tau = grid.nearest_index(axis.params.tau)
-    gp = bumps.eval(axis.g, grid.times, 1)
-    samples = np.empty(300)
-    montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 9, 0, 300, samples)
-    w = brownian_values_batch(grid, 1, 9, 0, 300)[:, :, 0]
-    x3 = solve_cascade_batch(axis, grid, w, np.zeros(5))[:, k_tau, 2]
-    assert np.array_equal(samples, x3)
+    for tau in (0.5, 0.8):
+        axis = build_axis_aligned(ModelParams(tau=tau))
+        k_tau = grid.nearest_index(axis.params.tau)
+        gp = bumps.eval(axis.g, grid.times, 1)
+        samples = np.empty(300)
+        montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 9, 0, 300, samples)
+        w = brownian_values_batch(grid, 1, 9, 0, 300)[:, :, 0]
+        x3 = solve_cascade_batch(axis, grid, w, np.zeros(5))[:, k_tau, 2]
+        assert np.array_equal(samples, x3), tau
 
 
 def test_stdnormality_passes_at_moderate_sample_size():
@@ -303,11 +306,31 @@ def test_stdnormality_passes_at_moderate_sample_size():
 
 
 def test_stdnormality_is_chunk_size_invariant(monkeypatch):
+    for tau in (0.5, 0.8):  # at 0.8, X3(tau) reads sines too
+        axis = build_axis_aligned(ModelParams(tau=tau))
+        k_tau = TimeGrid(T=1.0, steps=256).nearest_index(tau)
+        a = stdnormality_test(axis, 300, master_seed=5, steps=256)
+        for block in (7, 1024):  # paths per block
+            monkeypatch.setattr(montecarlo, "_STDNORM_BLOCK_STEPS", block * k_tau)
+            b = stdnormality_test(axis, 300, master_seed=5, steps=256)
+            assert a.to_json() == b.to_json(), (tau, block)
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_stdnormality_needs_two_paths(n_paths):
     axis = build_axis_aligned(ModelParams())
-    a = stdnormality_test(axis, 300, master_seed=5, steps=256)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
-    b = stdnormality_test(axis, 300, master_seed=5, steps=256)
-    assert a.to_dict() == b.to_dict()
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        stdnormality_test(axis, n_paths, master_seed=5, steps=256)
+
+
+def test_stdnormality_nan_statistic_fails(monkeypatch):
+    # a finite mean next to a NaN variance, as one path gave before N >= 2
+    # was required: Python's max drops a NaN that is not its first argument
+    monkeypatch.setattr(np, "var", lambda *args, **kwargs: np.nan)
+    rep = stdnormality_test(build_axis_aligned(ModelParams()), 300, master_seed=5, steps=256)
+    assert math.isfinite(rep.params["mean"])
+    assert math.isnan(rep.max_violation)
+    assert rep.passed is False
 
 
 def test_stdnormality_tolerances_scale():

@@ -124,11 +124,55 @@ def test_chunked_batches_are_independent_of_chunking():
     assert np.array_equal(part, whole[3:7])
 
 
+def _normals_reference(seeds, count):
+    """The whole Box-Muller draw in one pass: cosines of every pair, then sines."""
+    npairs = (count + 1) // 2
+    ctr = np.arange(1, 2 * npairs + 1, dtype=np.uint64)
+    bits = _mix64_array(seeds[:, None] + ctr[None, :] * np.uint64(_GOLD))
+    u = (bits >> np.uint64(11)).astype(np.float64) / 2.0**53
+    r = np.sqrt(-2.0 * np.log(u[:, :npairs] + 1.0 / 2.0**53))
+    theta = (2.0 * np.pi) * u[:, npairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :count]
+
+
 def test_normals_prefix_consistency():
     seeds = path_seed(1, range(4))
     longer = normals_for_seeds(seeds, 8)
     shorter = normals_for_seeds(seeds, 7)
     assert np.array_equal(shorter, longer[:, :7])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 16, 17, 257])
+def test_normals_keep_is_prefix_of_full_draw(count):
+    seeds = path_seed(3, range(5))
+    full = normals_for_seeds(seeds, count)
+    assert np.array_equal(full, _normals_reference(seeds, count))
+    npairs = (count + 1) // 2
+    for keep in {1, npairs - 1, npairs, npairs + 1, count} & set(range(1, count + 1)):
+        got = normals_for_seeds(seeds, count, keep)
+        assert got.shape == (5, keep)
+        assert np.array_equal(got, full[:, :keep]), keep
+    assert normals_for_seeds(seeds, count, 0).shape == (5, 0)
+
+
+def test_normals_keep_out_of_range():
+    seeds = path_seed(3, range(2))
+    for keep in (-1, 9):
+        with pytest.raises(ValueError, match="keep"):
+            normals_for_seeds(seeds, 8, keep)
+
+
+@pytest.mark.parametrize("steps", [32, 33])
+def test_brownian_keep_is_prefix_of_full_path(steps):
+    # m = 2: step k reads normals 2k and 2k+1 of 2 * steps, whose cosines end
+    # at normal steps, so for odd steps the boundary falls inside a step
+    grid = TimeGrid(T=1.0, steps=steps)
+    full = brownian_values_batch(grid, 2, 21, 4, 6)
+    mid = steps // 2
+    for keep in (1, mid - 1, mid, mid + 1, steps):
+        got = brownian_values_batch(grid, 2, 21, 4, 6, keep=keep)
+        assert got.shape == (6, keep + 1, 2)
+        assert np.array_equal(got, full[:, : keep + 1]), keep
 
 
 def test_increment_statistics():
