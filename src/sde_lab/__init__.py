@@ -53,7 +53,6 @@ from .montecarlo import (
     EstimationFailedError,
     SweepResult,
     estimate_distance,
-    fit_exponent,
     stdnormality_test,
     sweep_epsilon,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "eval_mu",
     "eval_nu",
     "eval_nu_jacobian",
-    "fit_exponent",
     "hoeldercomp_K",
     "hoeldercomp_threshold",
     "kappa_t",

@@ -78,9 +78,6 @@ class KappaSchedule:
         if np.any(k < 0.0) or np.any(np.diff(k) < 0.0):
             raise ValueError("kappa schedule must be nonnegative and nondecreasing")
 
-    def at_index(self, k: int) -> float:
-        return float(self.kappas[k])
-
 
 def kappa_t(f: BumpFunction, tau: float, t: float) -> float:
     """Time-change constant (1/2)(int_tau^t f(u) du)^2.

@@ -14,8 +14,8 @@ Exit codes: 0 all checks passed; 1 a check failed, a solver exploded or
 every sampled path aborted (JSON report on stdout); 2 configuration/parse
 error or a quadrature that cannot certify its tolerance ({"error": ...} on
 stderr). Configuration comes from defaults, then an optional flat-key JSON
-file (--config), then explicit flags; the master seed falls back to the
-SDE_LAB_SEED environment variable.
+file (--config), then explicit flags; each subcommand offers only the flags
+it reads.
 """
 
 from __future__ import annotations
@@ -59,11 +59,18 @@ class ExperimentConfig:
     n_paths: int = 10_000
     eps_grid: object = None  # list of floats or exponent-ladder dict
     t_eval: float = 0.9
-    seed: int | None = None
+    seed: int = DEFAULT_SEED
     output_dir: str = "."
     taming: bool = True
     threads: int = 1
     solver: str = "cascade"
+
+    def __post_init__(self):
+        for key, low in (("dt", 0), ("n_paths", 1), ("threads", 0)):
+            if not getattr(self, key) > low:
+                raise ConfigError(f"need {key} > {low}, got {getattr(self, key)}")
+        if not isinstance(self.seed, int):  # a --config file may hold null or "5"
+            raise ConfigError(f"need an integer seed, got {self.seed!r}")
 
     def model_params(self) -> model_mod.ModelParams:
         return model_mod.ModelParams(
@@ -83,17 +90,6 @@ class ExperimentConfig:
         if s < 1 or abs(s * self.dt - self.T) > 1e-9 * self.T:
             raise ConfigError(f"dt={self.dt} does not divide horizon T={self.T}")
         return s
-
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return int(self.seed)
-        env = os.environ.get("SDE_LAB_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise ConfigError(f"SDE_LAB_SEED={env!r} is not an integer") from exc
-        return DEFAULT_SEED
 
     def epsilons(self) -> np.ndarray:
         grid = self.eps_grid
@@ -165,7 +161,7 @@ def _build_general(config: ExperimentConfig) -> model_mod.GeneralModel:
 def cmd_verify_bounds(config: ExperimentConfig, args) -> int:
     gm = _build_general(config)
     report = model_mod.verify_model_bounds(
-        gm, args.trials, args.radius, args.z_radius, seed=config.resolved_seed()
+        gm, args.trials, args.radius, args.z_radius, seed=config.seed
     )
     return _emit(report)
 
@@ -193,7 +189,7 @@ def cmd_stdnorm_check(config: ExperimentConfig, args) -> int:
         passed=abs(var - 1.0) <= 1e-6,
     )
     mc_report = montecarlo.stdnormality_test(
-        axis, args.check_paths, config.resolved_seed(), steps=config.steps()
+        axis, args.check_paths, config.seed, steps=config.steps()
     )
     return _emit(merge_reports("stdnorm", [var_report, mc_report]))
 
@@ -201,9 +197,7 @@ def cmd_stdnorm_check(config: ExperimentConfig, args) -> int:
 def cmd_simulate(config: ExperimentConfig, args) -> int:
     gm = _build_general(config)
     grid = paths_mod.TimeGrid(T=config.T, steps=config.steps())
-    w = paths_mod.brownian_values_batch(
-        grid, config.m, config.resolved_seed(), args.path_index, 1
-    )
+    w = paths_mod.brownian_values_batch(grid, config.m, config.seed, args.path_index, 1)
     params = gm.params
     x0 = params.v + args.x0_eps * params.delta
     if config.solver == "cascade":
@@ -258,7 +252,7 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
         config.t_eval,
         config.epsilons(),
         config.n_paths,
-        config.resolved_seed(),
+        config.seed,
         q=config.q,
         steps=config.steps(),
         solver=config.solver,
@@ -277,10 +271,7 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
 
 
 def cmd_transform_check(config: ExperimentConfig, args) -> int:
-    report = transform_equivalence_report(
-        config, n_paths=args.paths, seed=config.resolved_seed()
-    )
-    return _emit(report)
+    return _emit(transform_equivalence_report(config, n_paths=args.paths, seed=config.seed))
 
 
 def transform_equivalence_report(
@@ -335,9 +326,7 @@ def transform_equivalence_report(
 
 
 def cmd_variation_check(config: ExperimentConfig, args) -> int:
-    report = variation_fd_report(
-        config, n_paths=args.paths, fd_eps=args.fd_eps, seed=config.resolved_seed()
-    )
+    report = variation_fd_report(config, n_paths=args.paths, fd_eps=args.fd_eps, seed=config.seed)
     return _emit(report)
 
 
@@ -399,102 +388,113 @@ def run(command: str, config: ExperimentConfig, args=None) -> int:
     return _COMMANDS[command](config, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _positive(kind):
+    """argparse type: a ``kind`` value above zero (for ints: at least 1)."""
+    def parse(text: str):
+        if not kind(text) > 0:
+            raise argparse.ArgumentTypeError(f"need a value > 0, got {text}")
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sde-lab",
-        description="Numerical laboratory for SDEs with logarithmic initial-value sensitivity",
-    )
+    desc = "Numerical laboratory for SDEs with logarithmic initial-value sensitivity"
+    parser = _Parser(prog="sde-lab", description=desc)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="flat-key JSON configuration file")
-        sp.add_argument("--seed", type=int, help="master seed (env SDE_LAB_SEED fallback)")
-        sp.add_argument("--threads", type=int, help="worker count (never affects results)")
-        sp.add_argument("--output", dest="output_dir", help="output directory")
-        sp.add_argument("--n", type=int, help="drift power")
-        sp.add_argument("--tau", type=float)
-        sp.add_argument("--T", type=float, dest="T")
-        sp.add_argument("--d", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--model-p", type=float, dest="p", help="Lyapunov exponent p")
-        sp.add_argument("--q", type=float, help="Lyapunov / upper-bound exponent q")
-        sp.add_argument("--v", help="comma-separated shift vector")
-        sp.add_argument("--delta", help="comma-separated direction vector")
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--n-paths", type=int, dest="n_paths")
-        sp.add_argument("--t-eval", type=float, dest="t_eval")
-        sp.add_argument("--eps", help="comma-separated epsilon grid")
-        sp.add_argument("--eps-start-exponent", type=float)
-        sp.add_argument("--eps-stop-exponent", type=float)
-        sp.add_argument("--eps-per-decade", type=float)
-        sp.add_argument("--solver", choices=["cascade", "em"])
-        sp.add_argument("--taming", dest="taming", action="store_true", default=None)
-        sp.add_argument("--no-taming", dest="taming", action="store_false", default=None)
+    # flag groups, one per group of config keys; a subcommand lists the ones it reads
+    run_g = _Parser(add_help=False)
+    run_g.add_argument("--config", help="flat-key JSON configuration file")
+    run_g.add_argument("--seed", type=int, help="master seed")
+    run_g.add_argument("--output", dest="output_dir", help="output directory")
 
-    sp = sub.add_parser("verify-bounds", help="sampled inequality suites")
-    common(sp)
-    sp.add_argument("--trials", type=int, default=100_000)
+    model_g = _Parser(add_help=False)
+    model_g.add_argument("--n", type=int, help="drift power")
+    model_g.add_argument("--tau", type=float)
+    model_g.add_argument("--T", type=float, dest="T")
+    model_g.add_argument("--d", type=int)
+    model_g.add_argument("--m", type=int)
+    model_g.add_argument("--model-p", type=float, dest="p", help="Lyapunov exponent p")
+    model_g.add_argument("--q", type=float, help="Lyapunov / upper-bound exponent q")
+    model_g.add_argument("--v", help="comma-separated shift vector")
+    model_g.add_argument("--delta", help="comma-separated direction vector")
+
+    dt_g = _Parser(add_help=False)
+    dt_g.add_argument("--dt", type=float)
+
+    solver_g = _Parser(add_help=False)
+    solver_g.add_argument("--solver", choices=["cascade", "em"])
+    solver_g.add_argument("--taming", dest="taming", action="store_true", default=None)
+    solver_g.add_argument("--no-taming", dest="taming", action="store_false", default=None)
+
+    sweep_g = _Parser(add_help=False)
+    sweep_g.add_argument("--threads", type=int, help="worker count (never affects results)")
+    sweep_g.add_argument("--n-paths", type=int, dest="n_paths")
+    sweep_g.add_argument("--t-eval", type=float, dest="t_eval")
+    sweep_g.add_argument("--eps", help="comma-separated epsilon grid")
+    sweep_g.add_argument("--eps-start-exponent", type=float)
+    sweep_g.add_argument("--eps-stop-exponent", type=float)
+    sweep_g.add_argument("--eps-per-decade", type=float)
+
+    modelled = [run_g, model_g]
+    sp = sub.add_parser("verify-bounds", parents=modelled, help="sampled inequality suites")
+    sp.add_argument("--trials", type=_positive(int), default=100_000)
     sp.add_argument("--radius", type=float, default=5.0)
     sp.add_argument("--z-radius", type=float, default=5.0, dest="z_radius")
 
-    sp = sub.add_parser("lemma21", help="normal-expectation lower bound ladder")
-    common(sp)
-    # own dest: the common --model-p already owns "p"
+    sp = sub.add_parser("lemma21", parents=[run_g], help="normal-expectation lower bound ladder")
+    # own dest: "p" is the model's config key
     sp.add_argument("--p", type=float, default=1.0, dest="lemma_p")
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--eps-max", default="1/e", dest="eps_max")
-    sp.add_argument("--eps-count", type=int, default=8, dest="eps_count")
+    sp.add_argument("--eps-count", type=_positive(int), default=8, dest="eps_count")
 
-    sp = sub.add_parser("stdnorm-check", help="variance identity and normality")
-    common(sp)
+    on_grid, solving = modelled + [dt_g], modelled + [dt_g, solver_g]
+    sp = sub.add_parser("stdnorm-check", parents=on_grid, help="variance identity and normality")
     sp.add_argument("--check-paths", type=int, default=100_000, dest="check_paths")
 
-    sp = sub.add_parser("simulate", help="dump one W and one solution path")
-    common(sp)
+    sp = sub.add_parser("simulate", parents=solving, help="dump one W and one solution path")
     sp.add_argument("--path-index", type=int, default=0, dest="path_index")
     sp.add_argument("--x0-eps", type=float, default=0.05, dest="x0_eps")
 
-    sp = sub.add_parser("sweep", help="epsilon sweep with bound checks")
-    common(sp)
+    sub.add_parser("sweep", parents=solving + [sweep_g], help="epsilon sweep with bound checks")
 
-    sp = sub.add_parser("transform-check", help="cascade vs Euler equivalence")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=50)
+    sp = sub.add_parser("transform-check", parents=on_grid, help="cascade vs Euler equivalence")
+    sp.add_argument("--paths", type=_positive(int), default=50)
 
-    sp = sub.add_parser("variation-check", help="variation vs flow differences")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=20)
-    sp.add_argument("--fd-eps", type=float, default=1e-5, dest="fd_eps")
+    sp = sub.add_parser("variation-check", parents=on_grid, help="variation vs flow differences")
+    sp.add_argument("--paths", type=_positive(int), default=20)
+    sp.add_argument("--fd-eps", type=_positive(float), default=1e-5, dest="fd_eps")
 
     return parser
 
 
 def _config_overrides(ns: argparse.Namespace) -> dict:
-    over = {}
-    for key in _CONFIG_KEYS:
-        if hasattr(ns, key) and getattr(ns, key) is not None:
-            over[key] = getattr(ns, key)
-    for key in ("v", "delta"):
-        if over.get(key) is not None:
-            over[key] = [float(s) for s in str(over[key]).split(",")]
-    ladder = {
-        key: getattr(ns, "eps_" + key)
-        for key in ("start_exponent", "stop_exponent", "per_decade")
-        if getattr(ns, "eps_" + key) is not None
-    }
-    if ns.eps is not None and ladder:
+    over = {k: getattr(ns, k) for k in _CONFIG_KEYS if getattr(ns, k, None) is not None}
+    for key in {"v", "delta"} & over.keys():
+        over[key] = [float(s) for s in str(over[key]).split(",")]
+    names = ("start_exponent", "stop_exponent", "per_decade")
+    ladder = {k: getattr(ns, "eps_" + k, None) for k in names}
+    ladder = {k: v for k, v in ladder.items() if v is not None}
+    eps = getattr(ns, "eps", None)
+    if eps is not None and ladder:
         raise ConfigError(f"eps_grid: --eps excludes the ladder flags, got {ladder}")
-    if ns.eps is not None:
-        over["eps_grid"] = [_parse_eps_value(s) for s in ns.eps.split(",")]
+    if eps is not None:
+        over["eps_grid"] = [_parse_eps_value(s) for s in eps.split(",")]
     elif ladder:  # a partial ladder fails in ExperimentConfig.epsilons
         over["eps_grid"] = ladder
     return over
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         config = load_config(ns.config, _config_overrides(ns))
         config.model_params()  # validate eagerly: bad values are config errors
         return run(ns.command, config, ns)

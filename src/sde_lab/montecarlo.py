@@ -45,10 +45,6 @@ class EstimationFailedError(RuntimeError):
     """Every sampled path aborted; no estimate exists."""
 
 
-class FitError(ValueError):
-    """Exponent fit impossible (degenerate window or nonpositive means)."""
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceEstimate:
     """Sample mean of ||X^x(t) - X^y(t)|| under synchronous coupling.
@@ -276,31 +272,6 @@ def sweep_epsilon(
         regime=regime,
         master_seed=master_seed,
     )
-
-
-def fit_exponent(result: SweepResult, window: int = 2) -> np.ndarray:
-    """Least-squares slope of ln mean against ln eps per sliding window.
-
-    window=2 reduces to the pairwise local slopes. Raises FitError when the
-    window does not fit or some mean is nonpositive.
-    """
-    if window < 2:
-        raise FitError(f"window must be >= 2, got {window}")
-    means = np.array([est.mean for est in result.estimates])
-    if np.any(means <= 0.0):
-        raise FitError("nonpositive mean in sweep; exponent undefined")
-    lx = np.log(result.eps_grid)
-    ly = np.log(means)
-    n = len(lx)
-    if window > n:
-        raise FitError(f"window {window} exceeds grid size {n}")
-    slopes = np.empty(n - window + 1)
-    for i in range(len(slopes)):
-        xs = lx[i : i + window]
-        ys = ly[i : i + window]
-        xc = xs - xs.mean()
-        slopes[i] = float(np.dot(xc, ys - ys.mean()) / np.dot(xc, xc))
-    return slopes
 
 
 def _x3_at_tau_chunk(grid, gp, k_tau, seed, lo, hi, out):

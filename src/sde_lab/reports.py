@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,7 +29,8 @@ class CheckReport:
 
     max_violation is oriented so that <= 0 means the bound held everywhere;
     its scale (ratio excess, absolute excess, log-space excess) is recorded
-    in params["violation_scale"] by the producing routine.
+    in params["violation_scale"] by the producing routine. A NaN violation
+    never passes: nothing was shown to hold.
     """
 
     check: str
@@ -36,6 +38,10 @@ class CheckReport:
     max_violation: float = 0.0
     grid_size: int = 0
     passed: bool = True
+
+    def __post_init__(self):
+        if math.isnan(self.max_violation):
+            self.passed = False
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -55,7 +61,7 @@ def merge_reports(check: str, reports: list[CheckReport]) -> CheckReport:
     return CheckReport(
         check=check,
         params={f"{i}_{r.check}": r.params for i, r in enumerate(reports)},
-        max_violation=max((float(r.max_violation) for r in reports), default=0.0),
+        max_violation=float(np.max([float(r.max_violation) for r in reports] or [0.0])),
         grid_size=sum(r.grid_size for r in reports),
         passed=all(bool(r.passed) for r in reports),
     )

@@ -122,11 +122,11 @@ def test_kappa_t_matches_nested_quadrature(f_bump):
 def test_kappa_schedule_matches_pointwise(f_bump):
     grid = TimeGrid(T=1.0, steps=512)
     sched = build_kappa_schedule(f_bump, 0.5, grid.times)
-    assert sched.at_index(grid.nearest_index(0.5)) == 0.0
+    assert sched.kappas[grid.nearest_index(0.5)] == 0.0
     assert np.all(sched.kappas[grid.times <= 0.5] == 0.0)
     for t in (0.6, 0.75, 0.9, 1.0):
         k = grid.nearest_index(t)
-        assert sched.at_index(k) == pytest.approx(
+        assert sched.kappas[k] == pytest.approx(
             kappa_t(f_bump, 0.5, grid.times[k]), rel=1e-9, abs=1e-12
         )
     assert sched.kappas[-1] == pytest.approx(KAPPA_T_FINAL, rel=1e-9)
@@ -189,7 +189,7 @@ def test_sandwich_value_at_tau_is_eps():
     k_tau = grid.nearest_index(0.5)
     # both envelope sides collapse to eps at tau, and the path sits there
     assert states[k_tau, 3] == 0.2
-    assert sched.at_index(k_tau) == 0.0
+    assert sched.kappas[k_tau] == 0.0
 
 
 def test_sandwich_eps_zero():

@@ -1,10 +1,14 @@
 """In-process command line tests: exit codes, JSON reports, file outputs."""
 
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,17 +39,9 @@ def test_steps_rejects_non_divisor():
         cli.ExperimentConfig(dt=0.3).steps()
 
 
-def test_seed_resolution(monkeypatch):
-    monkeypatch.delenv("SDE_LAB_SEED", raising=False)
-    assert cli.ExperimentConfig().resolved_seed() == cli.DEFAULT_SEED
-    assert cli.ExperimentConfig(seed=5).resolved_seed() == 5
-    monkeypatch.setenv("SDE_LAB_SEED", "77")
-    assert cli.ExperimentConfig().resolved_seed() == 77
-    # explicit seed wins over the environment
-    assert cli.ExperimentConfig(seed=5).resolved_seed() == 5
-    monkeypatch.setenv("SDE_LAB_SEED", "xyz")
-    with pytest.raises(cli.ConfigError, match="not an integer"):
-        cli.ExperimentConfig().resolved_seed()
+def test_seed_resolution():
+    assert cli.ExperimentConfig().seed == cli.DEFAULT_SEED
+    assert cli.ExperimentConfig(seed=5).seed == 5
 
 
 def test_epsilon_ladder_dict():
@@ -135,6 +131,14 @@ def test_main_bad_config_file(tmp_path, capsys):
     assert "unknown config keys" in json.loads(err)["error"]
 
 
+def test_config_file_values_are_validated(tmp_path):
+    path = tmp_path / "cfg.json"
+    for key, value in [("dt", 0), ("n_paths", 1), ("threads", 0), ("seed", None), ("seed", "5")]:
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_config(str(path), {})
+
+
 def test_main_bad_dt(capsys):
     code, out, err = run_main(["simulate", "--dt", "0.3"], capsys)
     assert code == 2
@@ -142,16 +146,94 @@ def test_main_bad_dt(capsys):
 
 
 def test_main_bad_model_parameter(capsys):
-    code, out, err = run_main(["lemma21", "--n", "1"], capsys)
+    code, out, err = run_main(["verify-bounds", "--n", "1", "--trials", "10"], capsys)
     assert code == 2
     assert "error" in json.loads(err)
 
 
-def test_main_bad_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("SDE_LAB_SEED", "not-a-seed")
-    code, out, err = run_main(["verify-bounds", "--trials", "10"], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sizes out of range
+        ["sweep", "--dt", "0"],
+        ["stdnorm-check", "--dt", "0"],
+        ["transform-check", "--paths", "0"],
+        ["variation-check", "--paths", "0"],
+        ["lemma21", "--eps-count", "0"],
+        ["sweep", "--threads", "0"],
+        ["sweep", "--n-paths", "1"],
+        ["variation-check", "--fd-eps", "0"],
+        ["verify-bounds", "--trials", "-3"],
+        # flags the command does not offer, and other parse errors
+        ["lemma21", "--dt", "0.3", "--solver", "em"],
+        ["lemma21", "--n", "1"],
+        ["verify-bounds", "--t-eval", "5"],
+        ["sweep", "--bogus"],
+        ["sweep", "--n-paths", "x"],
+        [],
+    ],
+)
+def test_main_bad_input_exits_2_with_json(capsys, argv):
+    code, out, err = run_main(argv, capsys)
     assert code == 2
-    assert "not an integer" in json.loads(err)["error"]
+    assert "error" in json.loads(err)
+    assert out == "" and "Traceback" not in err
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_EPS_FLAGS = {"eps", "eps_start_exponent", "eps_stop_exponent", "eps_per_decade"}
+
+
+class _RecordingConfig(cli.ExperimentConfig):
+    """Records the config keys read once ``reads`` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name in cli._CONFIG_KEYS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_command_offers_exactly_the_keys_it_reads(tmp_path, capsys):
+    grid = ["--dt", "0.0078125"]
+    runs = [
+        ["verify-bounds", "--trials", "10"],
+        ["lemma21", "--eps-count", "1"],
+        ["stdnorm-check", "--check-paths", "2", *grid],
+        ["simulate", *grid],
+        ["simulate", "--solver", "em", *grid],
+        ["sweep", "--eps", "0.2,0.1", "--n-paths", "4", "--dt", "0.001953125"],
+        ["transform-check", "--paths", "1", *grid],
+        ["variation-check", "--paths", "1", *grid],
+    ]
+    read = {}
+    for argv in runs:
+        ns = cli._build_parser().parse_args(argv + ["--output", str(tmp_path)])
+        config = _RecordingConfig(**cli._config_overrides(ns))
+        config.reads = set()
+        assert cli.run(argv[0], config, ns) in (0, 1), argv
+        read.setdefault(argv[0], set()).update(config.reads)
+    capsys.readouterr()
+    subparsers = _subparsers()
+    assert set(read) == set(subparsers)
+    for command, sp in subparsers.items():
+        dests = {a.dest for a in sp._actions}
+        offered = (dests & cli._CONFIG_KEYS) | ({"eps_grid"} if dests & _EPS_FLAGS else set())
+        assert read[command] <= offered, command
+        assert offered - {"seed", "output_dir"} <= read[command], command
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("sde-lab ")]
+    assert len(lines) >= 7
+    for line in lines:
+        cli._build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_main_incomplete_ladder_flags(capsys):

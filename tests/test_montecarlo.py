@@ -13,10 +13,7 @@ from sde_lab.model import ModelParams, build_axis_aligned, build_general
 from sde_lab.montecarlo import (
     DistanceEstimate,
     EstimationFailedError,
-    FitError,
-    SweepResult,
     estimate_distance,
-    fit_exponent,
     stdnormality_test,
     sweep_epsilon,
     sweep_summary,
@@ -207,43 +204,6 @@ def test_sweep_mean_decreases_with_eps(general):
     res = _small_sweep(general)
     means = np.array([e.mean for e in res.estimates])
     assert np.all(np.diff(means) < 0.0)
-
-
-def test_fit_exponent_synthetic():
-    eps = np.exp(-np.arange(1.0, 6.0))
-    means = eps**0.7
-
-    def fake_estimate(m):
-        return DistanceEstimate(
-            x=np.zeros(5),
-            y=np.zeros(5),
-            t=0.9,
-            n_paths=10,
-            mean=float(m),
-            std_error=0.0,
-            aborted=0,
-        )
-
-    res = SweepResult(
-        eps_grid=eps,
-        estimates=[fake_estimate(m) for m in means],
-        local_slopes=np.diff(np.log(means)) / np.diff(np.log(eps)),
-        lower_bound_curve=np.zeros_like(eps),
-        upper_bound_curve=np.zeros_like(eps),
-        constants={},
-        regime="non-hoelder",
-        master_seed=0,
-    )
-    assert np.allclose(fit_exponent(res, window=2), 0.7)
-    assert np.allclose(fit_exponent(res, window=3), 0.7)
-    assert len(fit_exponent(res, window=5)) == 1
-    with pytest.raises(FitError, match="window"):
-        fit_exponent(res, window=1)
-    with pytest.raises(FitError, match="exceeds"):
-        fit_exponent(res, window=6)
-    res.estimates[0] = fake_estimate(0.0)
-    with pytest.raises(FitError, match="nonpositive"):
-        fit_exponent(res, window=2)
 
 
 def test_sweep_csv_round_trip(general):

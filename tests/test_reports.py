@@ -50,3 +50,13 @@ def test_merge_semantics():
     c = CheckReport("three", {}, max_violation=0.2, grid_size=1, passed=False)
     assert not merge_reports("bundle", [a, c]).passed
     assert merge_reports("empty", []).passed
+
+
+def test_nan_violation_never_passes():
+    nan = CheckReport("c", {}, float("nan"), 1, True)
+    assert nan.passed is False and json.loads(nan.to_json())["passed"] is False
+    assert CheckReport("c", {}, float("inf"), 1, True).passed  # inf keeps its meaning
+    ok = CheckReport("ok", {}, -1e-7, 1, True)
+    merged = merge_reports("bundle", [ok, nan])
+    assert np.isnan(merged.max_violation) and not merged.passed
+    assert np.isnan(merge_reports("bundle", [nan, ok]).max_violation)
