@@ -343,8 +343,9 @@ def variation_fd_report(
     h /= np.linalg.norm(h)
 
     w = paths_mod.brownian_values_batch(grid, params.m, seed, 0, n_paths)
-    X = solvers.solve_em_batch(gm, grid, w, x0, taming=False)
-    Xh = solvers.solve_em_batch(gm, grid, w, x0 + fd_eps * h, taming=False)
+    # both starts in one Euler loop on the shared paths, as two separate solves
+    starts = np.broadcast_to(np.stack([x0, x0 + fd_eps * h])[:, None], (2, n_paths, params.d))
+    X, Xh = solvers.solve_em_batch(gm, grid, w, starts, taming=False)
     J = solvers.solve_variation_batch(gm, grid, X, h)
     fd = (Xh[:, -1] - X[:, -1]) / fd_eps
     denom = np.maximum(np.linalg.norm(J[:, -1], axis=1), 1.0)
@@ -389,6 +390,10 @@ def run(command: str, config: ExperimentConfig, args=None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a prefix of a flag is an error, never the flag: --kap is not --kappa
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
 
@@ -494,9 +499,22 @@ def _config_overrides(ns: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed stdout shows here, not in the final flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout before the report was out: exit 1, and let
+        # the interpreter flush what is left into /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv) -> int:
+    try:
         ns = _build_parser().parse_args(argv)
         config = load_config(ns.config, _config_overrides(ns))
-        config.model_params()  # validate eagerly: bad values are config errors
+        if "n" in vars(ns):  # the commands with the model flags read the model
+            config.model_params()  # validate eagerly: bad values are config errors
         return run(ns.command, config, ns)
     except (montecarlo.EstimationFailedError, solvers.SolverExplosionError) as exc:
         print(json.dumps({"check": ns.command, "passed": False, "error": str(exc)}))

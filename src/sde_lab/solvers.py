@@ -27,6 +27,12 @@ from .model import AxisAlignedModel, GeneralModel
 from .paths import TimeGrid
 
 
+# steps per batched Jacobian evaluation in solve_variation_batch: about 1 MiB
+# of grid Jacobians at 20 paths in R^5; performance knob only, results are
+# block-size independent
+_JAC_BLOCK = 256
+
+
 class SolverExplosionError(RuntimeError):
     """A state became non-finite; carries the first offending step index."""
 
@@ -43,11 +49,13 @@ def _first_bad_steps(states: np.ndarray) -> np.ndarray:
     return np.where(any_bad, first, -1)
 
 
-def _expand_x0(x0, n_paths: int, dim: int) -> np.ndarray:
+def _expand_x0(x0, n_paths: int, dim: int, starts: bool = False) -> np.ndarray:
+    """x0 as a (P, d) array; with starts, a (S, P, d) stack is kept as is."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = np.broadcast_to(x0, (n_paths, dim))
-    if x0.shape != (n_paths, dim):
+    lead = x0.shape[:1] if starts and x0.ndim == 3 else ()
+    if x0.shape != lead + (n_paths, dim):
         raise ValueError(f"initial value shape {x0.shape}, expected ({n_paths},{dim})")
     return x0
 
@@ -206,19 +214,23 @@ def solve_em_batch(
 ) -> np.ndarray:
     """Euler(-tamed) states for a batch of m-dimensional Brownian paths.
 
-    w has shape (P, steps+1, m). The tamed step scales the drift increment by
-    1/(1 + dt ||mu||) per path; with taming off this is the plain scheme.
+    w has shape (P, steps+1, m); returns (P, steps+1, d). x0 may also stack
+    S starts on each path, shape (S, P, d): then all S run in one loop on
+    the shared w and the result has shape (S, P, steps+1, d), bit-identical
+    to S separate solves (the drift's matrix products run per start).
+    The tamed step scales the drift increment by 1/(1 + dt ||mu||) per path;
+    with taming off this is the plain scheme.
     """
     P, K1, m = w.shape
     K = K1 - 1
     dt = grid.dt
     d = gm.params.d
-    x0 = _expand_x0(x0, P, d)
+    x0 = _expand_x0(x0, P, d, starts=True)
     sigmaT = gm.sigma.T  # (m, d)
 
-    out = np.empty((P, K1, d))
+    out = np.empty(x0.shape[:-1] + (K1, d))
     cur = x0.copy()
-    out[:, 0] = cur
+    out[..., 0, :] = cur
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             mu = model_mod.eval_mu(gm, cur)
@@ -228,7 +240,7 @@ def solve_em_batch(
             else:
                 step = mu * dt
             cur = cur + step + (w[:, k + 1] - w[:, k]) @ sigmaT
-            out[:, k + 1] = cur
+            out[..., k + 1, :] = cur
     return out
 
 
@@ -238,7 +250,10 @@ def solve_variation_batch(
     """First-variation J' = mu'(X(t)) J, J(0)=h, by RK4 along given states.
 
     states has shape (P, steps+1, d); h is one direction in R^d or (P, d).
-    X is interpolated linearly for the midpoint stage.
+    X is interpolated linearly for the midpoint stage. The Jacobians at the
+    grid points and midpoints are evaluated _JAC_BLOCK steps at a time, time
+    leading, so each step's (P, d, d) slice has the bits and layout of a
+    per-step call.
     """
     P, K1, d = states.shape
     K = K1 - 1
@@ -251,20 +266,18 @@ def solve_variation_batch(
     def apply(jac, vec):
         return np.einsum("pij,pj->pi", jac, vec)
 
-    jac_next = model_mod.eval_mu_jacobian(gm, states[:, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            jac0 = jac_next
-            jac_mid = model_mod.eval_mu_jacobian(
-                gm, 0.5 * (states[:, k] + states[:, k + 1])
-            )
-            jac_next = model_mod.eval_mu_jacobian(gm, states[:, k + 1])
-            k1 = apply(jac0, J)
-            k2 = apply(jac_mid, J + half * k1)
-            k3 = apply(jac_mid, J + half * k2)
-            k4 = apply(jac_next, J + dt * k3)
-            J = J + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-            out[:, k + 1] = J
+        for k0 in range(0, K, _JAC_BLOCK):
+            x = np.ascontiguousarray(states[:, k0 : k0 + _JAC_BLOCK + 1].swapaxes(0, 1))
+            jac = model_mod.eval_mu_jacobian(gm, x)
+            jac_mid = model_mod.eval_mu_jacobian(gm, 0.5 * (x[:-1] + x[1:]))
+            for j in range(len(x) - 1):
+                k1 = apply(jac[j], J)
+                k2 = apply(jac_mid[j], J + half * k1)
+                k3 = apply(jac_mid[j], J + half * k2)
+                k4 = apply(jac[j + 1], J + dt * k3)
+                J = J + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+                out[:, k0 + j + 1] = J
     return out
 
 

@@ -101,9 +101,17 @@ def test_headline_4_jacobian_and_variation_consistency():
         _gentle_config(dt=2.0 / 32768), n_paths=20, fd_eps=1e-5, seed=1
     )
     worst_var = report.params["max_rel_error"]
-    ok = worst_jac <= 1e-5 and report.passed and worst_var <= 1e-3
+    # the report's bytes are frozen: a faster solver must not move a bit
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    ok = (
+        worst_jac <= 1e-5
+        and report.passed
+        and worst_var <= 1e-3
+        and digest == "4a15036b0eb70a27de97335a79630c7e9cbc85c756a6de2b4feca66883103656"
+    )
     _line(4, ok, f"drift Jacobian vs FD at 10^3 points: {worst_jac:.2e} <= 1e-5; "
-                 f"variation vs flow FD on 20 paths: {worst_var:.2e} <= 1e-3")
+                 f"variation vs flow FD on 20 paths: {worst_var:.2e} <= 1e-3, "
+                 f"report sha256 {digest[:12]} frozen")
     assert ok
 
 

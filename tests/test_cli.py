@@ -171,6 +171,9 @@ def test_main_bad_model_parameter(capsys):
         ["sweep", "--bogus"],
         ["sweep", "--n-paths", "x"],
         [],
+        # a prefix is not the flag: not --kappa 2 --eps-count 2
+        ["lemma21", "--kap", "2", "--eps-c", "2"],
+        ["variation-check", "--path", "3"],
     ],
 )
 def test_main_bad_input_exits_2_with_json(capsys, argv):
@@ -178,6 +181,41 @@ def test_main_bad_input_exits_2_with_json(capsys, argv):
     assert code == 2
     assert "error" in json.loads(err)
     assert out == "" and "Traceback" not in err
+
+
+def test_no_parser_accepts_abbreviated_flags():
+    parser = cli._build_parser()
+    assert not parser.allow_abbrev
+    assert not any(sp.allow_abbrev for sp in _subparsers().values())
+
+
+def test_config_file_keys_a_command_does_not_read_are_not_validated(tmp_path, capsys):
+    # one config file may serve several commands; lemma21 reads no model key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 1}))
+    code, out, err = run_main(["lemma21", "--eps-count", "1", "--config", str(path)], capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+    code, out, err = run_main(["verify-bounds", "--trials", "10", "--config", str(path)], capsys)
+    assert code == 2
+    assert "drift power n" in json.loads(err)["error"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 400 ladder entries make a report larger than a pipe's buffer, so the
+    # writer is still writing when the reader closes the pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sde_lab.cli", "lemma21", "--eps-count", "400"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""
 
 
 def _subparsers():

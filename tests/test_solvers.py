@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from sde_lab.model import ModelParams, build_axis_aligned, build_general
+from sde_lab import solvers
+from sde_lab.model import ModelParams, build_axis_aligned, build_general, eval_mu_jacobian
 from sde_lab.paths import TimeGrid, brownian_values_batch
 from sde_lab.solvers import (
     _first_bad_steps,
@@ -206,11 +207,78 @@ def test_variation_batch_matches_single(general):
         assert np.array_equal(batch[i : i + 1], single)
 
 
+def _variation_per_step(gm, grid, states, h):
+    """The variation RK4 with one Jacobian call per grid point and midpoint."""
+    P, K1, d = states.shape
+    dt = grid.dt
+    half = 0.5 * dt
+    J = np.broadcast_to(np.asarray(h, dtype=float), (P, d)).copy()
+    out = np.empty((P, K1, d))
+    out[:, 0] = J
+
+    def apply(jac, vec):
+        return np.einsum("pij,pj->pi", jac, vec)
+
+    jac_next = eval_mu_jacobian(gm, states[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K1 - 1):
+            jac0 = jac_next
+            jac_mid = eval_mu_jacobian(gm, 0.5 * (states[:, k] + states[:, k + 1]))
+            jac_next = eval_mu_jacobian(gm, states[:, k + 1])
+            k1 = apply(jac0, J)
+            k2 = apply(jac_mid, J + half * k1)
+            k3 = apply(jac_mid, J + half * k2)
+            k4 = apply(jac_next, J + dt * k3)
+            J = J + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            out[:, k + 1] = J
+    return out
+
+
+@pytest.fixture(scope="module")
+def conjugated():
+    # d = 7 with a general B and v, so every Jacobian goes through both products
+    rng = np.random.default_rng(40)
+    d = 7
+    prm = ModelParams(n=2, tau=1.0, T=2.0, d=d, v=rng.uniform(-1, 1, d),
+                      delta=rng.uniform(-1, 1, d))
+    return build_general(build_axis_aligned(prm))
+
+
+@pytest.mark.parametrize("n_paths", [1, 20])
+@pytest.mark.parametrize("past_block", [-1, 0, 1])
+def test_variation_matches_per_step_jacobians_bit_for_bit(conjugated, n_paths, past_block):
+    # K below, at and one past the Jacobian block length
+    gm, rng = conjugated, np.random.default_rng(41)
+    steps = solvers._JAC_BLOCK + past_block
+    grid = TimeGrid(T=2.0, steps=steps)
+    w = brownian_values_batch(grid, 1, 41, 0, n_paths)
+    x0 = gm.B @ rng.uniform(-0.3, 0.3, 7) + gm.params.v
+    X = solve_em_batch(gm, grid, w, x0, taming=False)
+    h = rng.standard_normal(7)
+    J = solve_variation_batch(gm, grid, X, h)
+    assert np.any(J[:, -1] != h)
+    assert np.array_equal(J, _variation_per_step(gm, grid, X, h))
+
+
+@pytest.mark.parametrize("taming", [False, True])
+@pytest.mark.parametrize("n_paths", [1, 5, 20])  # 2, 10 and 40 stacked rows
+def test_em_stacked_starts_match_separate_solves(conjugated, n_paths, taming):
+    # the drift goes through BLAS products, whose bits may depend on the row count
+    gm, rng = conjugated, np.random.default_rng(42)
+    grid = TimeGrid(T=2.0, steps=128)
+    w = brownian_values_batch(grid, 1, 42, 0, n_paths)
+    x0 = gm.B @ rng.uniform(-0.3, 0.3, 7) + gm.params.v
+    xh = x0 + 1e-5 * rng.standard_normal(7)
+    starts = np.broadcast_to(np.stack([x0, xh])[:, None], (2, n_paths, 7))
+    both = solve_em_batch(gm, grid, w, starts, taming=taming)
+    assert both.shape == (2, n_paths, grid.steps + 1, 7)
+    for s, start in enumerate((x0, xh)):
+        assert np.array_equal(both[s], solve_em_batch(gm, grid, w, start, taming=taming))
+
+
 def test_variation_of_frozen_jacobian_is_matrix_exponential(general):
     # constant states make the variation a linear constant-coefficient ODE
     from scipy.linalg import expm
-
-    from sde_lab.model import eval_mu_jacobian
 
     grid = TimeGrid(T=1.0, steps=512)
     x_star = np.array([0.7, 0.5, 0.4, 0.2, -0.1])
@@ -256,6 +324,8 @@ def test_initial_value_shape_check(general):
     w = np.zeros((2, 5, 1))
     with pytest.raises(ValueError, match="initial value shape"):
         solve_em_batch(general, grid, w, np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="initial value shape"):
+        solve_em_batch(general, grid, w, np.zeros((2, 3, 5)))
 
 
 def test_solution_csv_round_trip(general):
