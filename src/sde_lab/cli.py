@@ -66,11 +66,18 @@ class ExperimentConfig:
     solver: str = "cascade"
 
     def __post_init__(self):
-        for key, low in (("dt", 0), ("n_paths", 1), ("threads", 0)):
-            if not getattr(self, key) > low:
-                raise ConfigError(f"need {key} > {low}, got {getattr(self, key)}")
         if not isinstance(self.seed, int):  # a --config file may hold null or "5"
             raise ConfigError(f"need an integer seed, got {self.seed!r}")
+
+    def validate(self, keys) -> None:
+        """Check the values of ``keys``, the config keys a command reads; a
+        config file may carry out-of-range values for the others."""
+        for key, low in (("dt", 0), ("n_paths", 1), ("threads", 0)):
+            value = getattr(self, key)
+            if key in keys and not (isinstance(value, (int, float)) and value > low):
+                raise ConfigError(f"need {key} > {low}, got {value!r}")
+        if "n" in keys:
+            self.model_params()
 
     def model_params(self) -> model_mod.ModelParams:
         return model_mod.ModelParams(
@@ -274,6 +281,12 @@ def cmd_transform_check(config: ExperimentConfig, args) -> int:
     return _emit(transform_equivalence_report(config, n_paths=args.paths, seed=config.seed))
 
 
+def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per path, the largest Euclidean distance over time between two (P, K+1,
+    d) path arrays, one path at a time: no (P, K+1, d) temporary."""
+    return np.array([np.linalg.norm(x - y, axis=1).max() for x, y in zip(a, b)])
+
+
 def transform_equivalence_report(
     config: ExperimentConfig, n_paths: int, seed: int
 ) -> CheckReport:
@@ -294,8 +307,8 @@ def transform_equivalence_report(
     ref = solvers.solve_cascade_general(gm, fine, wf[:, :, 0], y0)
     em_f = solvers.solve_em_batch(gm, fine, wf, x0, taming=False)
     em_c = solvers.solve_em_batch(gm, coarse, wf[:, ::2], x0, taming=False)
-    per_path_fine = np.linalg.norm(ref - em_f, axis=2).max(axis=1)
-    per_path_coarse = np.linalg.norm(ref[:, ::2] - em_c, axis=2).max(axis=1)
+    per_path_fine = _sup_distances(ref, em_f)
+    per_path_coarse = _sup_distances(ref[:, ::2], em_c)
     max_fine = float(per_path_fine.max())
 
     # step-halving ratio on per-path means: the max over paths and times is
@@ -513,8 +526,7 @@ def _main(argv) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         config = load_config(ns.config, _config_overrides(ns))
-        if "n" in vars(ns):  # the commands with the model flags read the model
-            config.model_params()  # validate eagerly: bad values are config errors
+        config.validate(vars(ns))  # a command offers a flag for each key it reads
         return run(ns.command, config, ns)
     except (montecarlo.EstimationFailedError, solvers.SolverExplosionError) as exc:
         print(json.dumps({"check": ns.command, "passed": False, "error": str(exc)}))

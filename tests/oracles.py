@@ -6,6 +6,38 @@ DOP853 for the ordinary differential equations, fixed-order Gauss-Legendre
 quadrature over the terminal noise law, and plain finite differences for
 Jacobians. High-precision constants frozen into the unit tests were produced
 by 40-digit arbitrary-precision twins of these routines.
+
+The sweep oracle (``oracle_sweep_means``). Past tau, g vanishes, so X3 is
+frozen at Z = X3(tau), and the first three coordinates of the starts eps*e4
+and 0 coincide. Their last two coordinates then solve
+
+    x4' = f x4 x5,    x5' = f (a - x4^2),    a = Z^n,
+
+from (eps, 0) and from (0, 0). The zero start keeps x4 = 0.
+
+- Intrinsic time. With s(t) = int_tau^t f (f >= 0) the pair is autonomous:
+  dx4/ds = x4 x5 and dx5/ds = a - x4^2. The bump drops out, and time t
+  becomes S = drift_integral(f, tau, t). The zero start has x5 = a s, so
+  the distance at t is hypot(x4, q) with q = a S - x5 = int_0^S x4^2 ds.
+  The solve carries q as a third component, because a S - x5 cancels when
+  x4 decays (a < 0).
+- First integral. With u = ln x4, du/ds = x5 and dx5/ds = a - e^{2u}, so
+  H = x5^2 + x4^2 - 2 a ln x4 is conserved: dH/ds = 2 x5 (a - x4^2)
+  + 2 x4^2 x5 - 2 a x5 = 0. It starts at eps^2 - 2 a ln eps. The tests
+  check its drift at the oracle's end states. It is not used to solve:
+  inverting the quadrature s(u) = int du / sqrt(H - e^{2u} + 2 a u) needs
+  separate branches for a << eps^2, a = 0 and a < 0, and the stacked solve
+  needs none.
+- The envelope. While x4^2 << a, x5 ~ a s and ln x4 ~ ln eps + a s^2 / 2,
+  so X4(t) ~ eps exp(kappa_t Z^n) with kappa_t = S^2 / 2, the upper
+  envelope of ``bounds.sandwich_check``. Once kappa_t Z^n passes about
+  |ln eps| + (n/2) ln|Z|, x4^2 reaches a and the well of H turns the pair
+  back. At t = 0.9 (kappa_t = 0.0735) and eps = e^-1, X4 is 0.98 of the
+  envelope at z = 2 and 0.15 of it at z = 3. For Z ~ N(0, 1) leaving it
+  has probability about exp(-(|ln eps| / kappa_t)^{2/n} / 2): the
+  exp(-c |ln eps|^{2/n}) rate of the lower bound that ``bounds.lemma21_*``
+  checks, next to the log-Hoelder upper bound of Jentzen, Kuckuck,
+  Mueller-Gronbach and Yaroslavtseva (arXiv:1904.05963).
 """
 
 from __future__ import annotations
@@ -16,6 +48,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from sde_lab import bumps
+
+_Z_SPAN = 7.0  # the z quadrature covers |z| <= 7
 
 
 def fd_jacobian(func, x, step):
@@ -55,6 +89,13 @@ def _scalar_bump(f):
     return fv
 
 
+def _dop853(rhs, t0, t1, y0, rtol, atol, **kwargs):
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, **kwargs)
+    if not sol.success:
+        raise RuntimeError(f"reference ODE solve failed: {sol.message}")
+    return sol.y[:, -1]
+
+
 def pair_ode_final(f, z_pow, t0, t1, x4_init, x5_init=0.0, rtol=1e-9, atol=1e-12):
     """Terminal (x4, x5) of x4' = f x4 x5, x5' = f (z_pow - x4^2) on [t0, t1].
 
@@ -67,18 +108,26 @@ def pair_ode_final(f, z_pow, t0, t1, x4_init, x5_init=0.0, rtol=1e-9, atol=1e-12
         c = fv(s)
         return (c * y[0] * y[1], c * (z_pow - y[0] * y[0]))
 
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        (float(x4_init), float(x5_init)),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reference ODE solve failed: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    x4, x5 = _dop853(rhs, t0, t1, (float(x4_init), float(x5_init)), rtol, atol)
+    return float(x4), float(x5)
+
+
+def pair_ode_distance(f, z_pow, t0, t1, eps, rtol=1e-9, atol=1e-12):
+    """Flow distance at t1 between the starts eps*e4 and 0 given z_pow = Z^n:
+    hypot(x4, q) with q' = f x4^2 carried next to the pair.
+
+    The scalar reference of ``node_distances``: a DOP853 solve in t, one
+    (z, eps) at a time, with the bump in the right-hand side.
+    """
+    fv = _scalar_bump(f)
+
+    def rhs(s, y):
+        c = fv(s)
+        sq = y[0] * y[0]
+        return (c * y[0] * y[1], c * (z_pow - sq), c * sq)
+
+    x4, _, q = _dop853(rhs, t0, t1, (float(eps), 0.0, 0.0), rtol, atol)
+    return float(np.hypot(x4, q))
 
 
 def drift_integral(f, t0, t1):
@@ -92,50 +141,72 @@ def drift_integral(f, t0, t1):
     return val
 
 
-def distance_given_z(f, tau, t, n, eps, z, drift_int=None, rtol=1e-9):
-    """Flow distance at time t between starts eps*e4 and 0, given the value z
-    of the noise functional: deterministic reduction of the last two
-    coordinates (the first three coincide for both starts)."""
-    if eps == 0.0:
-        return 0.0
-    z_pow = z**n
-    x4, x5 = pair_ode_final(f, z_pow, tau, t, eps, rtol=rtol)
-    if drift_int is None:
-        drift_int = drift_integral(f, tau, t)
-    x5_zero = z_pow * drift_int
-    return float(np.hypot(x4, x5 - x5_zero))
+def intrinsic_pair_final(z_pow, eps, S, rtol=1e-9, atol=1e-12):
+    """(x4, x5, q) at intrinsic time S of dx4/ds = x4 x5, dx5/ds = a - x4^2,
+    dq/ds = x4^2 from (eps, 0, 0), for every broadcast pair of a = z_pow and
+    eps, by one DOP853 solve of the stacked triples.
+
+    DOP853 bounds the RMS of the scaled error over the state, so the
+    tolerances are divided by sqrt(state size): each component keeps the
+    error control the caller asked for.
+    """
+    a, x4_0 = np.broadcast_arrays(np.asarray(z_pow, float), np.asarray(eps, float))
+    shape = a.shape
+    a = a.ravel()
+    m = a.size
+
+    def rhs(s, y):
+        x4, x5 = y[:m], y[m : 2 * m]
+        sq = x4 * x4
+        return np.concatenate((x4 * x5, a - sq, sq))
+
+    shrink = math.sqrt(3 * m)
+    y0 = np.concatenate((x4_0.ravel(), np.zeros(2 * m)))
+    end = _dop853(rhs, 0.0, S, y0, rtol / shrink, atol / shrink, t_eval=[S])
+    return tuple(end.reshape(3, *shape))
 
 
-def mean_distance_oracle(f, tau, t, n, eps, z_nodes=320, z_span=7.0, rtol=1e-9):
-    """E over z ~ N(0,1) of distance_given_z, by Gauss-Legendre quadrature.
+def z_quadrature(n, z_nodes):
+    """Gauss-Legendre nodes z and weights against the N(0,1) density.
 
-    The integrand decays like the normal density times a polynomial in z (the
-    pair ODE is self-limiting), so the span truncates far below the target
-    accuracy. For even n the integrand is even; only z >= 0 is solved.
+    For even n the distance is even in z, so the rule maps to [0, span] and
+    doubles; for odd n it covers [-span, span]. The normal density times a
+    polynomial in z (the pair ODE is self-limiting) truncates far below the
+    target accuracy at this span.
     """
     x, w = np.polynomial.legendre.leggauss(z_nodes)
-    drift_int = drift_integral(f, tau, t)
     if n % 2 == 0:
-        z = 0.5 * z_span * (x + 1.0)  # map to [0, span]
-        scale = 2.0 * 0.5 * z_span
+        z = 0.5 * _Z_SPAN * (x + 1.0)  # map to [0, span]
     else:
-        z = z_span * x
-        scale = z_span
+        z = _Z_SPAN * x
     dens = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    vals = np.array(
-        [distance_given_z(f, tau, t, n, eps, zj, drift_int, rtol) for zj in z]
-    )
-    return float(scale * np.sum(w * dens * vals))
+    return z, _Z_SPAN * w * dens
+
+
+def node_distances(f, tau, t, n, eps_grid, z, rtol=1e-9):
+    """Flow distance at time t between starts eps*e4 and 0 given the noise
+    functional Z = z, shape (len(eps_grid), len(z)), by one stacked solve.
+
+    The first three coordinates coincide for both starts; the zero start has
+    x4 = 0 and x5 = z^n S. A row with eps = 0 is exactly 0.
+    """
+    eps = np.asarray(eps_grid, dtype=float)
+    z_pow = np.asarray(z, dtype=float) ** n
+    S = drift_integral(f, tau, t)
+    out = np.zeros((len(eps), len(z_pow)))
+    live = eps != 0.0
+    if live.any():
+        x4, _, q = intrinsic_pair_final(z_pow, eps[live, None], S, rtol)
+        out[live] = np.hypot(x4, q)
+    return out
 
 
 def oracle_sweep_means(f, tau, t, n, eps_grid, z_nodes=320, rtol=1e-9):
-    """Oracle mean distances for a whole epsilon grid (shared z nodes)."""
-    return np.array(
-        [
-            mean_distance_oracle(f, tau, t, n, e, z_nodes=z_nodes, rtol=rtol)
-            for e in eps_grid
-        ]
-    )
+    """Oracle mean distances for a whole epsilon grid: E over Z ~ N(0,1) of
+    the flow distance given Z, by Gauss-Legendre quadrature on shared z
+    nodes, every (eps, z) pair in one intrinsic-time solve."""
+    z, weights = z_quadrature(n, z_nodes)
+    return node_distances(f, tau, t, n, eps_grid, z, rtol) @ weights
 
 
 def local_slopes(eps_grid, means):

@@ -131,11 +131,21 @@ def test_main_bad_config_file(tmp_path, capsys):
     assert "unknown config keys" in json.loads(err)["error"]
 
 
-def test_config_file_values_are_validated(tmp_path):
+def test_config_file_values_are_validated(tmp_path, capsys):
+    # a size key is checked, file and flag alike, by each command that reads it
     path = tmp_path / "cfg.json"
-    for key, value in [("dt", 0), ("n_paths", 1), ("threads", 0), ("seed", None), ("seed", "5")]:
+    for command, key, value in [
+        ("sweep", "dt", 0), ("simulate", "dt", -1.0), ("stdnorm-check", "dt", "0.1"),
+        ("transform-check", "dt", 0), ("variation-check", "dt", None),
+        ("sweep", "n_paths", 1), ("sweep", "threads", 0),
+    ]:
         path.write_text(json.dumps({key: value}))
-        with pytest.raises(cli.ConfigError, match=key):
+        code, out, err = run_main([command, "--config", str(path)], capsys)
+        assert code == 2 and out == "", (command, key)
+        assert f"need {key} >" in json.loads(err)["error"], (command, key)
+    for value in (None, "5"):
+        path.write_text(json.dumps({"seed": value}))
+        with pytest.raises(cli.ConfigError, match="seed"):
             cli.load_config(str(path), {})
 
 
@@ -198,6 +208,16 @@ def test_config_file_keys_a_command_does_not_read_are_not_validated(tmp_path, ca
     code, out, err = run_main(["verify-bounds", "--trials", "10", "--config", str(path)], capsys)
     assert code == 2
     assert "drift power n" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("key, value", [("dt", 0), ("n_paths", 1), ("threads", 0)])
+@pytest.mark.parametrize("argv", [["lemma21", "--eps-count", "1"], ["verify-bounds", "--trials", "10"]])
+def test_config_file_sizes_a_command_does_not_read_are_not_validated(tmp_path, capsys, argv, key, value):
+    # neither command integrates in time nor samples paths
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run_main(argv + ["--config", str(path)], capsys)
+    assert code == 0 and json.loads(out)["passed"] is True, err
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
