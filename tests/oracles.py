@@ -89,8 +89,8 @@ def _scalar_bump(f):
     return fv
 
 
-def _dop853(rhs, t0, t1, y0, rtol, atol, **kwargs):
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, **kwargs)
+def _dop853(rhs, t0, t1, y0, rtol, atol):
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"reference ODE solve failed: {sol.message}")
     return sol.y[:, -1]
@@ -141,14 +141,14 @@ def drift_integral(f, t0, t1):
     return val
 
 
-def intrinsic_pair_final(z_pow, eps, S, rtol=1e-9, atol=1e-12):
+def intrinsic_pair_final(z_pow, eps, S, rtol=1e-9):
     """(x4, x5, q) at intrinsic time S of dx4/ds = x4 x5, dx5/ds = a - x4^2,
     dq/ds = x4^2 from (eps, 0, 0), for every broadcast pair of a = z_pow and
     eps, by one DOP853 solve of the stacked triples.
 
     DOP853 bounds the RMS of the scaled error over the state, so the
-    tolerances are divided by sqrt(state size): each component keeps the
-    error control the caller asked for.
+    tolerances (rtol and an atol of 1e-12) are divided by sqrt(state size):
+    each component keeps the error control the caller asked for.
     """
     a, x4_0 = np.broadcast_arrays(np.asarray(z_pow, float), np.asarray(eps, float))
     shape = a.shape
@@ -162,7 +162,7 @@ def intrinsic_pair_final(z_pow, eps, S, rtol=1e-9, atol=1e-12):
 
     shrink = math.sqrt(3 * m)
     y0 = np.concatenate((x4_0.ravel(), np.zeros(2 * m)))
-    end = _dop853(rhs, 0.0, S, y0, rtol / shrink, atol / shrink, t_eval=[S])
+    end = _dop853(rhs, 0.0, S, y0, rtol / shrink, 1e-12 / shrink)
     return tuple(end.reshape(3, *shape))
 
 
