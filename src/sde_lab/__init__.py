@@ -34,7 +34,6 @@ from .solvers import SolverExplosionError
 from .bounds import (
     DomainError,
     HoelderCompParams,
-    KappaSchedule,
     Lemma21Params,
     build_kappa_schedule,
     check_hoeldercomp,
@@ -70,7 +69,6 @@ __all__ = [
     "HoelderCompParams",
     "InvalidDirectionError",
     "InvalidIntervalError",
-    "KappaSchedule",
     "Lemma21Params",
     "ModelParams",
     "QuadratureToleranceError",

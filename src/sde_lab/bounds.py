@@ -10,18 +10,20 @@ power-bounds on a finite range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bumps
 from .bumps import BumpFunction
+from .model import AxisAlignedModel
 from .paths import TimeGrid
 from .quadrature import QuadratureToleranceError, adaptive_simpson, gauss_legendre_cells
 from .reports import CheckReport
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TINY_LOG = math.log(5e-324)  # smallest subnormal; floor for log of solver output
+_VARIANCE_NODES = 400  # per direction in stdnorm_variance's coarser pass
 
 
 class DomainError(ValueError):
@@ -64,21 +66,6 @@ class HoelderCompParams:
             raise DomainError(f"need K in (0,1], got {self.K}")
 
 
-@dataclass(frozen=True, eq=False)
-class KappaSchedule:
-    """kappa_t = (1/2)(int_tau^t f)^2 tabulated on a grid of times."""
-
-    f: BumpFunction
-    tau: float
-    times: np.ndarray = field(repr=False)
-    kappas: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        k = self.kappas
-        if np.any(k < 0.0) or np.any(np.diff(k) < 0.0):
-            raise ValueError("kappa schedule must be nonnegative and nondecreasing")
-
-
 def kappa_t(f: BumpFunction, tau: float, t: float) -> float:
     """Time-change constant (1/2)(int_tau^t f(u) du)^2.
 
@@ -97,15 +84,16 @@ def kappa_t(f: BumpFunction, tau: float, t: float) -> float:
     return 0.5 * total * total
 
 
-def build_kappa_schedule(f: BumpFunction, tau: float, times) -> KappaSchedule:
-    """Tabulate kappa_t on the given times by cumulative per-cell quadrature."""
+def build_kappa_schedule(f: BumpFunction, tau: float, times) -> np.ndarray:
+    """kappa_t on the given times by cumulative per-cell quadrature (0 up to
+    tau, nondecreasing after it)."""
     times = np.asarray(times, dtype=float)
     cells = gauss_legendre_cells(lambda s: bumps.eval(f, s, 0), times)
     running = np.concatenate([[0.0], np.cumsum(cells)])
     base = np.interp(tau, times, running)
     integral = np.maximum(running - base, 0.0)
     integral[times <= tau] = 0.0
-    return KappaSchedule(f=f, tau=tau, times=times, kappas=0.5 * integral**2)
+    return 0.5 * integral**2
 
 
 def lemma21_c(prm: Lemma21Params) -> float:
@@ -179,12 +167,12 @@ def check_lemma21(prm: Lemma21Params) -> CheckReport:
     )
 
 
-def stdnorm_variance(g: BumpFunction, tau: float, n_nodes: int = 400) -> float:
+def stdnorm_variance(g: BumpFunction, tau: float) -> float:
     """Var[int_0^tau g'(s) W(s) ds] by 2-D tensor quadrature.
 
     Evaluates 2 int g'(s) [int_a^s g'(u) u du] ds over the support with
-    Gauss-Legendre nodes in both directions, doubling the resolution once to
-    certify convergence.
+    _VARIANCE_NODES Gauss-Legendre nodes in both directions, doubling the
+    resolution once to certify convergence.
     """
     if g.a < -1e-12 or g.b > tau + 1e-12:
         raise DomainError(f"bump support ({g.a}, {g.b}) not inside [0, {tau}]")
@@ -200,8 +188,8 @@ def stdnorm_variance(g: BumpFunction, tau: float, n_nodes: int = 400) -> float:
         inner = hs * np.sum(w[None, :] * bumps.eval(g, u, 1) * u, axis=1)
         return 2.0 * np.sum(ws * bumps.eval(g, s, 1) * inner)
 
-    v1 = value(n_nodes)
-    v2 = value(2 * n_nodes)
+    v1 = value(_VARIANCE_NODES)
+    v2 = value(2 * _VARIANCE_NODES)
     if abs(v2 - v1) > 1e-8 * max(1.0, abs(v2)):
         raise QuadratureToleranceError(
             f"variance quadrature not converged: {v1!r} vs {v2!r}"
@@ -210,76 +198,62 @@ def stdnorm_variance(g: BumpFunction, tau: float, n_nodes: int = 400) -> float:
 
 
 def sandwich_check(
-    grid: TimeGrid,
-    states: np.ndarray,
-    eps: float,
-    schedule: KappaSchedule,
-    *,
-    n: int = 4,
+    axis: AxisAlignedModel, grid: TimeGrid, states: np.ndarray, eps: float
 ) -> CheckReport:
     """Pathwise check of the exponential envelope of the fourth coordinate.
 
-    states is one cascade path on grid, shape (steps+1, 5). For every grid
-    time t >= tau, with Z the (frozen) third coordinate at tau and kap =
-    schedule value at t:
+    states is a batch of P cascade paths solved under axis on grid, shape
+    (P, steps+1, 5); one path is a batch of one. For every path and every
+    grid time t >= tau, with Z the path's (frozen) third coordinate at tau,
+    n the model's drift power and kap = kappa_t tabulated on grid:
 
         eps exp(kap Z^n - eps^2 kap exp(2 kap Z^n)) <= X4(t) <= eps exp(kap Z^n)
 
-    compared in log space with relative slack 1e-3 for solver error. n is the
-    drift power of the model the path was solved under. A non-finite X4, or
-    for eps > 0 a non-finite Z, fails the check.
+    compared in log space with relative slack 1e-3 for solver error. For
+    eps = 0 the check is X4 == 0. A non-finite X4, or for eps > 0 a
+    non-finite Z, fails the check; a failing report names the worst path,
+    its Z and the time of its worst margin.
     """
-    if len(states) != grid.steps + 1:
+    if states.ndim != 3 or states.shape[1:] != (grid.steps + 1, 5):
         raise ValueError(f"states shape {states.shape} does not match grid")
-    if len(schedule.times) != grid.steps + 1:
-        raise ValueError("schedule grid does not match path grid")
-    k_tau = grid.nearest_index(schedule.tau)
-    x4 = states[k_tau:, 3]
+    n = axis.params.n
+    k_tau = grid.nearest_index(axis.params.tau)
+    x4 = states[:, k_tau:, 3]
+    z = states[:, k_tau, 2]
     if eps == 0.0:
-        worst = float(np.max(np.abs(x4)))
-        return CheckReport(
-            check="sandwich",
-            params={"eps": 0.0, "violation_scale": "absolute_excess"},
-            max_violation=worst,
-            grid_size=len(x4),
-            passed=worst == 0.0,
-        )
+        viol = np.abs(x4)
+        params = {"eps": 0.0, "violation_scale": "absolute_excess"}
+    else:
+        kap = build_kappa_schedule(axis.f, axis.params.tau, grid.times)[k_tau:]
+        a = kap * z[:, None] ** n
+        ln_eps = math.log(eps)
+        ln_up = ln_eps + a
+        # correction eps^2 kap e^{2a}; saturates rather than overflows
+        ln_corr = 2.0 * a + 2.0 * ln_eps + np.log(np.maximum(kap, 5e-324))
+        corr = np.exp(np.minimum(ln_corr, 700.0))
+        corr = np.where(ln_corr > 700.0, np.inf, corr)
+        corr = np.where(kap == 0.0, 0.0, corr)
+        ln_lo = ln_up - corr
 
-    z = states[k_tau, 2]
-    kap = schedule.kappas[k_tau:]
-    a = kap * z**n
-    ln_eps = math.log(eps)
-    ln_up = ln_eps + a
-    # correction eps^2 kap e^{2a}; saturates rather than overflows
-    ln_corr = 2.0 * a + 2.0 * ln_eps + np.log(np.maximum(kap, 5e-324))
-    corr = np.exp(np.minimum(ln_corr, 700.0))
-    corr = np.where(ln_corr > 700.0, np.inf, corr)
-    corr = np.where(kap == 0.0, 0.0, corr)
-    ln_lo = ln_up - corr
-
-    ln_x4 = np.log(np.maximum(x4, 5e-324))
-    slack_up = math.log1p(1e-3)
-    slack_lo = math.log1p(-1e-3)
-    viol_up = ln_x4 - (ln_up + slack_up)
-    with np.errstate(invalid="ignore"):
-        viol_lo = np.where(np.isinf(ln_lo), -np.inf, (ln_lo + slack_lo) - ln_x4)
-    # a numerically nonpositive X4 only passes if the lower bound underflowed
-    viol_lo = np.where((x4 <= 0.0) & (ln_lo > _TINY_LOG), np.inf, viol_lo)
-    viol = np.maximum(viol_up, viol_lo)
-    worst = int(np.argmax(viol))
-    max_violation = float(viol[worst])
+        ln_x4 = np.log(np.maximum(x4, 5e-324))
+        viol_up = ln_x4 - (ln_up + math.log1p(1e-3))
+        with np.errstate(invalid="ignore"):
+            viol_lo = np.where(
+                np.isinf(ln_lo), -np.inf, (ln_lo + math.log1p(-1e-3)) - ln_x4
+            )
+        # a numerically nonpositive X4 only passes if the lower bound underflowed
+        viol_lo = np.where((x4 <= 0.0) & (ln_lo > _TINY_LOG), np.inf, viol_lo)
+        viol = np.maximum(viol_up, viol_lo)
+        params = {"eps": eps, "n": n, "rel_slack": 1e-3, "violation_scale": "log_excess"}
+    path, k = np.unravel_index(np.argmax(viol), viol.shape)
+    max_violation = float(viol[path, k])
     passed = max_violation <= 0.0
-    params = {
-        "eps": eps,
-        "n": n,
-        "z": float(z),
-        "rel_slack": 1e-3,
-        "violation_scale": "log_excess",
-    }
     if not passed:
-        params["worst_t"] = float(grid.times[k_tau + worst])
+        params["worst_path"] = int(path)
+        params["z"] = float(z[path])
+        params["worst_t"] = float(grid.times[k_tau + k])
         params["margin"] = max_violation
-    return CheckReport("sandwich", params, max_violation, len(x4), passed)
+    return CheckReport("sandwich", params, max_violation, viol.size, passed)
 
 
 def _log_threshold(c: float, alpha: float, beta: float) -> float:

@@ -260,7 +260,6 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
         config.epsilons(),
         config.n_paths,
         config.seed,
-        q=config.q,
         steps=config.steps(),
         solver=config.solver,
         taming=config.taming,

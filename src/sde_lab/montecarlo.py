@@ -102,7 +102,11 @@ def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, ref, others, 
         starts = np.array([ref, *others])[:, :5]
         obs = solve_cascade_observed(gm.base, grid, w[:, :, 0], starts, k_obs)
     else:
-        obs = [solve_em_batch(gm, grid, w, s, taming=taming)[:, -1] for s in [ref, *others]]
+        # copy the final slice, so that each start's full history is freed at once
+        obs = [
+            solve_em_batch(gm, grid, w, s, taming=taming)[:, -1].copy()
+            for s in [ref, *others]
+        ]
     # a path aborts when its state is non-finite at t; no solver stage makes a
     # non-finite state finite again, so this is "non-finite at some step <= t"
     bad = [~np.all(np.isfinite(o), axis=-1) for o in obs]
@@ -204,7 +208,6 @@ def sweep_epsilon(
     n_paths: int,
     master_seed: int,
     *,
-    q: float | None = None,
     steps: int | None = None,
     solver: str = "cascade",
     taming: bool = True,
@@ -248,8 +251,7 @@ def sweep_epsilon(
         bounds_mod.Lemma21Params(p=float(params.n), kappa=kap_t, eps=eps[0])
     )
     lower = np.exp(-c * np.abs(log_eps) ** (2.0 / params.n))
-    q_used = float(params.q if q is None else q)
-    upper = np.abs(log_eps) ** (-q_used)
+    upper = np.abs(log_eps) ** (-params.q)
 
     constants = {
         "C": model.base.C,
@@ -258,7 +260,7 @@ def sweep_epsilon(
         "kappa_t": kap_t,
         "c": c,
         "K": float(np.linalg.norm(params.delta)),
-        "q": q_used,
+        "q": params.q,
         "t_grid": t_grid,
     }
     regime = "non-hoelder" if params.n >= 3 else "hoelder-consistent"

@@ -118,13 +118,11 @@ def test_headline_4_jacobian_and_variation_consistency():
 def test_headline_5_pathwise_sandwich():
     axis = _default_axis()
     grid = paths.TimeGrid(T=axis.params.T, steps=2048)
-    schedule = bounds.build_kappa_schedule(axis.f, axis.params.tau, grid.times)
     reports = []
     for eps_index, eps in enumerate((0.2, 0.05, 0.01)):
         w = paths.brownian_values_batch(grid, 1, 1, eps_index * 100, 100)[:, :, 0]
         states = solvers.solve_cascade_batch(axis, grid, w, [0.0, 0.0, 0.0, eps, 0.0])
-        for k in range(100):
-            reports.append(bounds.sandwich_check(grid, states[k], eps, schedule, n=4))
+        reports.append(bounds.sandwich_check(axis, grid, states, eps))
     worst = max(r.max_violation for r in reports)
     ok = all(r.passed for r in reports)
     _line(5, ok, f"both envelope inequalities on 3 x 100 paths at every grid "
@@ -156,7 +154,7 @@ def test_headline_7_non_hoelder_signature():
     gm = model.build_general(model.build_axis_aligned(cfg.model_params()))
     result = montecarlo.sweep_epsilon(
         gm, cfg.t_eval, cfg.epsilons(), cfg.n_paths, cli.DEFAULT_SEED,
-        q=cfg.q, steps=cfg.steps(), solver="cascade", taming=True, n_threads=1,
+        steps=cfg.steps(), solver="cascade", taming=True, n_threads=1,
     )
     domination = cli.sweep_domination_report(result)
     means = np.array([e.mean for e in result.estimates])
@@ -236,8 +234,7 @@ def test_headline_9_thread_count_determinism():
     for threads in (1, 2, 7):
         result = montecarlo.sweep_epsilon(
             gm, cfg.t_eval, cfg.epsilons(), cfg.n_paths, 1,
-            q=cfg.q, steps=cfg.steps(), solver="cascade", taming=True,
-            n_threads=threads,
+            steps=cfg.steps(), solver="cascade", taming=True, n_threads=threads,
         )
         buf = io.StringIO()
         montecarlo.sweep_to_csv(result, buf)

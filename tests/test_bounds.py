@@ -13,7 +13,6 @@ from oracles import gauss_legendre
 from sde_lab.bounds import (
     DomainError,
     HoelderCompParams,
-    KappaSchedule,
     Lemma21Params,
     build_kappa_schedule,
     check_hoeldercomp,
@@ -121,23 +120,16 @@ def test_kappa_t_matches_nested_quadrature(f_bump):
 
 def test_kappa_schedule_matches_pointwise(f_bump):
     grid = TimeGrid(T=1.0, steps=512)
-    sched = build_kappa_schedule(f_bump, 0.5, grid.times)
-    assert sched.kappas[grid.nearest_index(0.5)] == 0.0
-    assert np.all(sched.kappas[grid.times <= 0.5] == 0.0)
+    kappas = build_kappa_schedule(f_bump, 0.5, grid.times)
+    assert kappas[grid.nearest_index(0.5)] == 0.0
+    assert np.all(kappas[grid.times <= 0.5] == 0.0)
+    assert np.all(np.diff(kappas) >= 0.0)
     for t in (0.6, 0.75, 0.9, 1.0):
         k = grid.nearest_index(t)
-        assert sched.kappas[k] == pytest.approx(
+        assert kappas[k] == pytest.approx(
             kappa_t(f_bump, 0.5, grid.times[k]), rel=1e-9, abs=1e-12
         )
-    assert sched.kappas[-1] == pytest.approx(KAPPA_T_FINAL, rel=1e-9)
-
-
-def test_kappa_schedule_validation(f_bump):
-    times = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
-        KappaSchedule(
-            f=f_bump, tau=0.5, times=times, kappas=np.array([0, 1, 0.5, 2, 3.0])
-        )
+    assert kappas[-1] == pytest.approx(KAPPA_T_FINAL, rel=1e-9)
 
 
 def test_stdnorm_variance_is_one(g_bump):
@@ -165,46 +157,62 @@ def test_stdnorm_variance_domain(f_bump):
         stdnorm_variance(f_bump, 0.5)  # support is (0.5, 1)
 
 
-def _cascade_path(eps, seed, idx, steps=2048):
+def _cascade_paths(eps, seed, idx, count=1, steps=2048):
     axis = build_axis_aligned(ModelParams())
     grid = TimeGrid(T=1.0, steps=steps)
-    w = brownian_values_batch(grid, 1, seed, idx, 1)[:, :, 0]
+    w = brownian_values_batch(grid, 1, seed, idx, count)[:, :, 0]
     x0 = np.zeros(5)
     x0[3] = eps
-    states = solve_cascade_batch(axis, grid, w, x0)[0]
-    sched = build_kappa_schedule(axis.f, 0.5, grid.times)
-    return grid, states, sched
+    return axis, grid, solve_cascade_batch(axis, grid, w, x0)
 
 
 def test_sandwich_holds_on_simulated_paths():
-    for idx in range(5):
-        grid, states, sched = _cascade_path(0.05, seed=101, idx=idx)
-        rep = sandwich_check(grid, states, 0.05, sched, n=4)
-        assert rep.passed, rep.params
-        assert rep.max_violation <= 0.0
+    axis, grid, states = _cascade_paths(0.05, seed=101, idx=0, count=5)
+    rep = sandwich_check(axis, grid, states, 0.05)
+    assert rep.passed, rep.params
+    assert rep.max_violation <= 0.0
+    assert rep.grid_size == 5 * (2048 - grid.nearest_index(0.5) + 1)
+
+
+def test_sandwich_batch_is_the_worst_single_path():
+    axis, grid, states = _cascade_paths(0.05, seed=101, idx=0, count=6)
+    batch = sandwich_check(axis, grid, states, 0.05)
+    singles = [sandwich_check(axis, grid, states[k : k + 1], 0.05) for k in range(6)]
+    assert batch.max_violation == max(r.max_violation for r in singles)
+    assert batch.grid_size == sum(r.grid_size for r in singles)
+    # a failing batch names the worst path, its Z and the time of its margin
+    k_tau = grid.nearest_index(0.5)
+    bad = states.copy()
+    bad[4, k_tau + 300 :, 3] *= 1.01
+    rep = sandwich_check(axis, grid, bad, 0.05)
+    assert not rep.passed
+    assert rep.params["worst_path"] == 4
+    assert rep.params["z"] == states[4, k_tau, 2]
+    assert rep.params["worst_t"] >= grid.times[k_tau + 300]
+    assert rep.max_violation == sandwich_check(axis, grid, bad[4:5], 0.05).max_violation
 
 
 def test_sandwich_value_at_tau_is_eps():
-    grid, states, sched = _cascade_path(0.2, seed=102, idx=0)
+    axis, grid, states = _cascade_paths(0.2, seed=102, idx=0)
     k_tau = grid.nearest_index(0.5)
     # both envelope sides collapse to eps at tau, and the path sits there
-    assert states[k_tau, 3] == 0.2
-    assert sched.kappas[k_tau] == 0.0
+    assert states[0, k_tau, 3] == 0.2
+    assert build_kappa_schedule(axis.f, 0.5, grid.times)[k_tau] == 0.0
 
 
 def test_sandwich_eps_zero():
-    grid, states, sched = _cascade_path(0.0, seed=103, idx=0)
-    rep = sandwich_check(grid, states, 0.0, sched, n=4)
+    axis, grid, states = _cascade_paths(0.0, seed=103, idx=0)
+    rep = sandwich_check(axis, grid, states, 0.0)
     assert rep.passed
     assert rep.max_violation == 0.0
 
 
 def test_sandwich_detects_tampering():
-    grid, states, sched = _cascade_path(0.05, seed=104, idx=0)
+    axis, grid, states = _cascade_paths(0.05, seed=104, idx=0)
     k_tau = grid.nearest_index(0.5)
     bad = states.copy()
-    bad[k_tau + 1 :, 3] *= 1.01  # push above the upper envelope
-    rep = sandwich_check(grid, bad, 0.05, sched, n=4)
+    bad[0, k_tau + 1 :, 3] *= 1.01  # push above the upper envelope
+    rep = sandwich_check(axis, grid, bad, 0.05)
     assert not rep.passed
     assert rep.max_violation > 0.0
     assert "worst_t" in rep.params
@@ -213,21 +221,19 @@ def test_sandwich_detects_tampering():
 @pytest.mark.parametrize("eps, coord, offset", [(0.05, 3, 7), (0.0, 3, 7), (0.05, 2, 0)])
 def test_sandwich_fails_on_non_finite_states(eps, coord, offset):
     # X4 after tau, or Z = X3(tau); Z does not enter the eps = 0 check
-    grid, states, sched = _cascade_path(eps, seed=106, idx=0)
+    axis, grid, states = _cascade_paths(eps, seed=106, idx=0)
     bad = states.copy()
-    bad[grid.nearest_index(0.5) + offset, coord] = np.nan
-    rep = sandwich_check(grid, bad, eps, sched, n=4)
+    bad[0, grid.nearest_index(0.5) + offset, coord] = np.nan
+    rep = sandwich_check(axis, grid, bad, eps)
     assert not rep.passed
 
 
 def test_sandwich_grid_mismatch():
-    grid, states, _ = _cascade_path(0.05, seed=105, idx=0)
-    axis = build_axis_aligned(ModelParams())
-    other = build_kappa_schedule(axis.f, 0.5, np.linspace(0.0, 1.0, 33))
-    with pytest.raises(ValueError, match="does not match path grid"):
-        sandwich_check(grid, states, 0.05, other, n=4)
+    axis, grid, states = _cascade_paths(0.05, seed=105, idx=0)
     with pytest.raises(ValueError, match="does not match grid"):
-        sandwich_check(grid, states[:-1], 0.05, other, n=4)
+        sandwich_check(axis, grid, states[:, :-1], 0.05)
+    with pytest.raises(ValueError, match="does not match grid"):
+        sandwich_check(axis, grid, states[0], 0.05)  # one path needs its batch axis
 
 
 def test_hoeldercomp_threshold_closed_form():

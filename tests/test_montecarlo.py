@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_default_sweep_distances_are_frozen(solver, n_paths, steps, digest):
     )
     data = b"".join(est.distances.tobytes() for est in res.estimates)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_em_sweep_holds_one_history_at_a_time(general):
+    # the Euler route reads only the state at t of each start's solve, so the
+    # (P, k_obs+1, d) histories must not pile up across the starts of a chunk
+    cfg = cli.ExperimentConfig()
+    n_paths, steps = 64, 512
+    k_obs = TimeGrid(T=1.0, steps=steps).nearest_index(cfg.t_eval)
+    history = n_paths * (k_obs + 1) * general.params.d * 8
+    tracemalloc.start()
+    try:
+        sweep_epsilon(general, cfg.t_eval, cfg.epsilons(), n_paths, 1, steps=steps, solver="em")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * history, peak / history
 
 
 def test_identical_starts_give_zero_distance(general):
