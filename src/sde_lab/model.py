@@ -265,13 +265,12 @@ def eval_mu(gm: GeneralModel, x) -> np.ndarray:
 
 
 def eval_mu_jacobian(gm: GeneralModel, x) -> np.ndarray:
-    """mu'(x) = B nu~'(B^{-1}(x-v)) B^{-1}, shape (..., d, d)."""
-    x = np.asarray(x, dtype=float)
-    d = gm.params.d
-    y = (x - gm.params.v) @ gm.Binv.T
-    jn = np.zeros(x.shape[:-1] + (d, d))
-    jn[..., :5, :5] = eval_nu_jacobian(gm.base, y[..., :5])
-    return np.einsum("ij,...jk,kl->...il", gm.B, jn, gm.Binv)
+    """mu'(x) = B nu~'(B^{-1}(x-v)) B^{-1}, shape (..., d, d). Only the 5x5
+    block of nu~' is nonzero, so only B[:, :5] and B^{-1}[:5] enter; the
+    right product runs as one flat (N d, 5) x (5, d) matmul."""
+    y = (np.asarray(x, dtype=float) - gm.params.v) @ gm.Binv.T
+    left = gm.B[:, :5] @ eval_nu_jacobian(gm.base, y[..., :5])
+    return (left.reshape(-1, 5) @ gm.Binv[:5]).reshape(left.shape[:-1] + (gm.params.d,))
 
 
 def eval_general_V(gm: GeneralModel, x):

@@ -77,6 +77,16 @@ def gauss_legendre(func, a, b, n):
     return half * np.sum(w * func(mid + half * x))
 
 
+def x3_variance(g, tau, nodes=400):
+    """Variance of X3(tau) = int_0^tau g'(t) W(t) dt in the continuum.
+
+    Integrating by parts with g(0) = g(tau) = 0 gives X3(tau) = -int g dW,
+    so by the Ito isometry Var = int_0^tau g^2, here by Gauss-Legendre
+    (1 up to the normalization of g; 400 nodes settle it to about 1e-14).
+    """
+    return gauss_legendre(lambda t: bumps.eval(g, t, 0) ** 2, 0.0, tau, nodes)
+
+
 def _scalar_bump(f):
     """Plain-Python evaluator of the bump profile (fast inside ODE loops)."""
     a, b, eta = f.a, f.b, f.eta

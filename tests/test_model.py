@@ -252,6 +252,62 @@ def test_eval_mu_jacobian_chain_rule():
         assert np.all(np.abs(fd - exact) <= tol)
 
 
+def _einsum_mu_jacobian(gm, x):
+    """Reference conjugation: B nu~' B^{-1} as one three-operand einsum over
+    the zero-padded (..., d, d) Jacobian of the embedded drift."""
+    x = np.asarray(x, dtype=float)
+    d = gm.params.d
+    y = (x - gm.params.v) @ gm.Binv.T
+    jn = np.zeros(x.shape[:-1] + (d, d))
+    jn[..., :5, :5] = eval_nu_jacobian(gm.base, y[..., :5])
+    return np.einsum("ij,...jk,kl->...il", gm.B, jn, gm.Binv)
+
+
+def _jacobian_block(rng, gm):
+    """A (257, 20, d) block of states, time leading, as solve_variation_batch
+    passes them: x1 sweeps both bump supports, the rest are O(1) in cascade
+    coordinates, mapped to R^d by x = B y + v."""
+    d = gm.params.d
+    y = 2.0 * rng.standard_normal((257, 20, d))
+    y[..., 0] = np.linspace(-0.1, 1.1 * gm.params.T, 257)[:, None]
+    return y @ gm.B.T + gm.params.v
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_mu_jacobian_is_the_reference_bit_for_bit_when_B_is_identity(d):
+    gm = build_general(build_axis_aligned(ModelParams(d=d, v=np.full(d, 0.25))))
+    assert np.array_equal(gm.B, np.eye(d))
+    x = _jacobian_block(np.random.default_rng(20 + d), gm)
+    for row, (i, val) in enumerate(
+        [(2, np.inf), (3, -np.inf), (4, np.nan), (2, 1e200), (0, np.nan), (1, 1e200),
+         (3, -1e200), (4, np.inf)]
+    ):
+        x[40 + 20 * row, row, i] = val
+    x[250, :, 2:] = 1e200
+    with np.errstate(all="ignore"):
+        got = eval_mu_jacobian(gm, x)
+        want = _einsum_mu_jacobian(gm, x)
+    assert got.shape == (257, 20, d, d)
+    assert np.isnan(want).any() and np.isinf(want).any()
+    assert np.array_equal(got, want, equal_nan=True)
+    # same signs of zero too: bit for bit wherever the value is not NaN
+    num = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_mu_jacobian_agrees_with_the_reference_for_general_B(d):
+    rng = np.random.default_rng(30 + d)
+    prm = ModelParams(d=d, v=rng.uniform(-1, 1, d), delta=rng.uniform(-1, 1, d))
+    gm = build_general(build_axis_aligned(prm))
+    x = _jacobian_block(rng, gm)
+    got = eval_mu_jacobian(gm, x)
+    want = _einsum_mu_jacobian(gm, x)
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert np.count_nonzero(scale) > 100  # most matrices are nonzero
+
+
 def test_general_V_dominates_norm():
     rng = np.random.default_rng(9)
     d = 6

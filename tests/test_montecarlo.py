@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from sde_lab import bumps, cli, montecarlo
 from sde_lab.model import ModelParams, build_axis_aligned, build_general
 from sde_lab.montecarlo import (
@@ -21,7 +22,7 @@ from sde_lab.montecarlo import (
     sweep_to_csv,
 )
 from sde_lab.paths import TimeGrid, brownian_values_batch
-from sde_lab.solvers import _first_bad_steps, solve_cascade_batch
+from sde_lab.solvers import _first_bad_steps, _x3_trapezoid, solve_cascade_batch
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,48 @@ def test_x3_samples_are_the_cascade_solvers_x3_at_tau():
         w = brownian_values_batch(grid, 1, 9, 0, 300)[:, :, 0]
         x3 = solve_cascade_batch(axis, grid, w, np.zeros(5))[:, k_tau, 2]
         assert np.array_equal(samples, x3), tau
+
+
+def _x3_weights(gp, dt, k_tau, block=256):
+    """C_j: X3(tau) from the unit-increment path j (W = 1 after step j), by the
+    package's own trapezoid, so that X3(tau) = sum_j C_j (W_{j+1} - W_j)."""
+    weights = np.empty(k_tau)
+    steps = np.arange(k_tau + 1)
+    for lo in range(0, k_tau, block):
+        rows = np.arange(lo, min(lo + block, k_tau))
+        w = (steps > rows[:, None]).astype(float)
+        x3 = np.empty_like(w)
+        _x3_trapezoid(gp[: k_tau + 1], w, dt, 0.0, x3)
+        weights[rows] = x3[:, -1]
+    return weights
+
+
+def test_discrete_x3_law_is_gaussian_with_variance_one_plus_order_dt2():
+    # The scheme's X3(tau) is linear in the Gaussian increments, so it is
+    # exactly N(0, Var_K) with Var_K = dt sum_j C_j^2; the continuum value is
+    # int g^2 = 1, and the trapezoid's error is O(dt^2). Bounds fixed from the
+    # order-2 prediction: error at most 50 dt^2 and positive, halving ratio
+    # within 4 +- 0.1.
+    axis = build_axis_aligned(ModelParams())
+    exact = oracles.x3_variance(axis.g, axis.params.tau)
+    assert abs(exact - 1.0) <= 1e-9
+    errors = []
+    for steps in (1024, 2048, 4096):
+        grid = TimeGrid(T=axis.params.T, steps=steps)
+        k_tau = grid.nearest_index(axis.params.tau)
+        gp = bumps.eval(axis.g, grid.times, 1)
+        weights = _x3_weights(gp, grid.dt, k_tau)
+        err = grid.dt * np.sum(weights**2) - exact
+        assert 0.0 < err <= 50.0 * grid.dt**2, (steps, err)
+        errors.append(err)
+        if steps == 2048:
+            # the weights reproduce the sampled check's X3(tau) path by path
+            samples = np.empty(8)
+            montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 5, 0, 8, samples)
+            w = brownian_values_batch(grid, 1, 5, 0, 8, keep=k_tau)[:, :, 0]
+            assert np.allclose(np.diff(w, axis=1) @ weights, samples, rtol=0, atol=1e-13)
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios - 4.0) <= 0.1), ratios
 
 
 def test_stdnormality_passes_at_moderate_sample_size():
