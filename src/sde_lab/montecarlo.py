@@ -27,18 +27,20 @@ import numpy as np
 
 from . import bounds as bounds_mod, bumps
 from .model import AxisAlignedModel, GeneralModel
-from .paths import TimeGrid, brownian_values_batch
+from .paths import TimeGrid, brownian_values_batch, normals_for_seeds, path_seed
 from .reports import CheckReport
 from .solvers import _x3_trapezoid, solve_cascade_observed, solve_em_batch
 
 _CHUNK = 1024  # performance knob only; results are chunk-size independent
 # stdnorm-check draws its paths in blocks of about this many path steps, also
-# a performance knob only. A block's largest arrays then hold at most 2^15
-# words (256 KiB; 16 paths at the default grid): they stay in L2, and the
-# allocator reuses their memory instead of mapping fresh pages per block. On a
-# 2-core Xeon (2 MiB L2 per core, glibc), run right after import, blocks of
-# 2^16 words and more spent a sixth to a quarter of their time in page faults
-_STDNORM_BLOCK_STEPS = 1 << 14
+# a performance knob only. Every block reuses one time-major workspace of
+# (k_tau + 1) x paths words, and the trapezoid's sum over it is one vector add
+# per step across the block's paths, so wider blocks spread numpy's per-call
+# cost over more paths; narrower ones keep the draw's arrays (40 KiB a path at
+# the default grid) in L2. On a 2-core Xeon (2 MiB L2 a core), stdnorm-check at
+# 10^5 paths took a median 6.7 s with 2^15 (32 paths), 6.8 s with 2^16 and
+# 7.3 s with 2^14 path steps (4 pinned fresh-process runs each)
+_STDNORM_BLOCK_STEPS = 1 << 15
 
 
 class EstimationFailedError(RuntimeError):
@@ -276,14 +278,37 @@ def sweep_epsilon(
     )
 
 
-def _x3_at_tau_chunk(grid, gp, k_tau, seed, lo, hi, out):
+def _x3_at_tau_chunk(grid, gp, k_tau, seed, lo, hi, out, workspace=None):
     # trapezoidal X3(tau) = int_0^tau g'(s) W(s) ds from the origin; the
     # cascade solver's own quadrature, so it matches the solver bit for bit.
-    # Only the first k_tau steps are drawn, with the full path's bits.
-    w = brownian_values_batch(grid, 1, seed, lo, hi - lo, keep=k_tau)[:, :, 0]
-    x3 = np.empty_like(w)
-    _x3_trapezoid(gp[: k_tau + 1], w, grid.dt, 0.0, x3)
-    out[lo:hi] = x3[:, -1]
+    # Only the first k_tau steps are drawn, with the full path's bits. W runs
+    # down the rows of a time-major block (the first (k_tau+1)(hi-lo) words of
+    # workspace, if given), so the trapezoid's sum adds one row per step.
+    n = hi - lo
+    size = (k_tau + 1) * n
+    workspace = np.empty(size) if workspace is None else workspace
+    w = workspace[:size].reshape(k_tau + 1, n)
+    inc = normals_for_seeds(path_seed(seed, range(lo, hi)), grid.steps, k_tau)
+    w[0] = 0.0
+    np.multiply(inc.T, np.sqrt(grid.dt), out=w[1:])
+    np.cumsum(w[1:], axis=0, out=w[1:])
+    _x3_trapezoid(gp[: k_tau + 1, None], w, grid.dt, 0.0, out[lo:hi], axis=0)
+
+
+def _ks_statistic(x: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of the sample x from the standard normal.
+
+    Computed as scipy.stats.kstest(x, "norm").statistic is, to the bit, from
+    the sorted sample and scipy.special.ndtr, without loading scipy.stats. A
+    NaN in x gives NaN.
+    """
+    from scipy.special import ndtr  # imported here: no other command needs it
+
+    n = len(x)
+    cdf = ndtr(np.sort(x))
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(d_plus if d_plus > d_minus else d_minus)
 
 
 def stdnormality_test(
@@ -298,20 +323,19 @@ def stdnormality_test(
     """
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got {n_paths}")
-    from scipy import stats  # imported here: no other command needs it
-
     params = model.params
     grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
     k_tau = grid.nearest_index(params.tau)
     gp = bumps.eval(model.g, grid.times, 1)
     samples = np.empty(n_paths)
     block = max(1, _STDNORM_BLOCK_STEPS // max(k_tau, 1))
+    workspace = np.empty((k_tau + 1) * min(block, n_paths))
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
-        _x3_at_tau_chunk(grid, gp, k_tau, master_seed, lo, hi, samples)
+        _x3_at_tau_chunk(grid, gp, k_tau, master_seed, lo, hi, samples, workspace)
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1))
-    ks = float(stats.kstest(samples, "norm").statistic)
+    ks = _ks_statistic(samples)
     rn = math.sqrt(n_paths)
     mean_tol = 4.0 / rn
     var_tol = 8.0 / rn

@@ -7,11 +7,22 @@ change. Gaussians come from a splitmix-style 64-bit avalanche mix applied to
 (path_seed, counter) pairs, pushed through Box-Muller. Their layout depends on
 the grid alone, so the first k steps of a path can be drawn on their own, with
 the bits of the full path's first k steps and only the work they need.
+
+The draw kernel is built for speed without moving a bit. Its counter table
+(counter * GOLD + GOLD, splitmix64's golden-ratio step folded in) depends on
+the draw's shape alone, so it is built once per shape and cached; it holds the
+radii's counters and the angles' counters as two blocks, so every Box-Muller
+stage runs over contiguous memory. The mix shifts into one scratch array. A
+mixed word shifted right by 11 is below 2^53, so its int64 view converts to
+float64 exactly, and scaling by the power of two 2^-53 is exact too: the
+uniforms are those of a division by 2^53, and an angle, one product by
+2 pi 2^-53, rounds as the uniform times 2 pi does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +31,7 @@ _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TWO53 = float(2**53)
+_TWO_M53 = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -49,20 +61,35 @@ class TimeGrid:
         return min(max(k, 0), self.steps)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over the uint64 array z, overwriting it; returns z."""
+def _avalanche_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix of the uint64 array z, overwriting z and scratch."""
     # uint64 arrays wrap silently (unlike numpy scalars, which warn)
-    z += np.uint64(_GOLD)
-    z ^= z >> np.uint64(30)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
     return z
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    return _mix64_inplace(np.array(z, dtype=np.uint64))
+    """splitmix64 finalizer: the output mix of z + GOLD, as a new uint64 array."""
+    z = np.array(z, dtype=np.uint64)
+    z += np.uint64(_GOLD)
+    return _avalanche_inplace(z, np.empty_like(z))
+
+
+@lru_cache(maxsize=4)
+def _counter_table(npairs: int, used: int) -> np.ndarray:
+    """counter * GOLD + GOLD, shape (2, 1, used): counters 1..used of the
+    radii, then npairs+1..npairs+used of the angles."""
+    ctr = np.r_[1 : used + 1, npairs + 1 : npairs + used + 1].astype(np.uint64)
+    table = (ctr * np.uint64(_GOLD) + np.uint64(_GOLD)).reshape(2, 1, used)
+    table.flags.writeable = False
+    return table
 
 
 def path_seed(master_seed: int, path_index: int | range) -> np.ndarray:
@@ -100,17 +127,18 @@ def normals_for_seeds(seeds: np.ndarray, count: int, keep: int | None = None) ->
     seeds = np.asarray(seeds, dtype=np.uint64)
     npairs = (count + 1) // 2
     used = min(keep, npairs)  # every kept normal reads one of these pairs
-    ctr = np.r_[1 : used + 1, npairs + 1 : npairs + used + 1].astype(np.uint64)
-    bits = _mix64_inplace(seeds[:, None] + ctr * np.uint64(_GOLD))
+    bits = seeds[:, None] + _counter_table(npairs, used)  # radii, then angles
+    scratch = np.empty_like(bits)
+    _avalanche_inplace(bits, scratch)
     bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u /= _TWO53
-    r, theta = u[:, :used], u[:, used:]
+    words, u = bits.view(np.int64), scratch.view(np.float64)
+    r, theta = u
+    np.multiply(words[0], _TWO_M53, out=r)
     r += 1.0 / _TWO53  # in (0, 1], log is safe
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    theta *= 2.0 * np.pi
+    np.multiply(words[1], 2.0 * np.pi * _TWO_M53, out=theta)
     out = np.empty((len(seeds), keep))
     if keep > npairs:
         sines = out[:, npairs:]

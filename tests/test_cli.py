@@ -420,6 +420,62 @@ def test_stdnorm_check_passes(capsys):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("dt", ["0.5", "0.25"])
+def test_stdnorm_check_with_tau_on_step_0_or_1(dt, capsys):
+    # tau = 0.2 rounds to step 0 (dt 0.5) or step 1 (dt 0.25), where g' is
+    # 0: every X3(tau) is 0, from an empty or a one-step trapezoid
+    code, out, err = run_main(
+        ["stdnorm-check", "--tau", "0.2", "--dt", dt, "--check-paths", "50"], capsys
+    )
+    assert code == 1, err
+    mc = json.loads(out)["params"]["1_stdnormality"]
+    assert (mc["mean"], mc["var"], mc["ks"]) == (0.0, 0.0, 0.5)
+
+
+def test_stdnorm_check_loads_no_scipy_stats():
+    # the KS statistic is computed from scipy.special alone
+    code = (
+        "import sys, sde_lab.cli; "
+        "sde_lab.cli.main(['stdnorm-check', '--check-paths', '200', '--dt', '0.001953125']); "
+        "print('scipy.stats' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
+def test_simulate_replays_sweep_paths(tmp_path, capsys):
+    # simulate --path-index k from v (--x0-eps 0) and from v + eps delta
+    # rides the sweep's path k: the distance of its two states at t is the
+    # sweep's distances[k]. The sweep measures in cascade coordinates and
+    # simulate in R^d, so the two agree to rounding.
+    config = cli.ExperimentConfig()
+    epsilons = config.epsilons()
+    sweep = montecarlo.sweep_epsilon(
+        cli._build_general(config), config.t_eval, epsilons, 64, config.seed,
+        steps=config.steps(),
+    )
+    k_obs = paths.TimeGrid(T=config.T, steps=config.steps()).nearest_index(config.t_eval)
+
+    def state_at_t(k, eps):
+        argv = ["simulate", "--path-index", str(k), "--x0-eps", repr(float(eps))]
+        code, out, err = run_main(argv + ["--seed", str(config.seed), "--output", str(tmp_path)], capsys)
+        assert code == 0, err  # path k stays finite on [0, T]
+        rows = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+        assert rows[k_obs, 0] == sweep.estimates[0].t
+        return rows[k_obs, 1:]
+
+    for k in (0, 6, 8):
+        ref = state_at_t(k, 0.0)
+        for i in (0, len(epsilons) - 1):
+            dist = np.linalg.norm(state_at_t(k, epsilons[i]) - ref)
+            assert dist == pytest.approx(sweep.estimates[i].distances[k], rel=1e-12), (k, i)
+
+
 def test_simulate_writes_files(tmp_path, capsys):
     code, out, err = run_main(
         ["simulate", "--output", str(tmp_path), "--seed", "3"], capsys

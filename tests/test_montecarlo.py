@@ -330,10 +330,26 @@ def test_stdnormality_is_chunk_size_invariant(monkeypatch):
         axis = build_axis_aligned(ModelParams(tau=tau))
         k_tau = TimeGrid(T=1.0, steps=256).nearest_index(tau)
         a = stdnormality_test(axis, 300, master_seed=5, steps=256)
-        for block in (7, 1024):  # paths per block
+        # paths per block; 13 leaves a one-path tail, and a one-path block
+        # must sum in cumsum's order, where numpy's reduction sums pairwise
+        for block in (1, 7, 13, 1024):
             monkeypatch.setattr(montecarlo, "_STDNORM_BLOCK_STEPS", block * k_tau)
             b = stdnormality_test(axis, 300, master_seed=5, steps=256)
             assert a.to_json() == b.to_json(), (tau, block)
+
+
+def test_x3_at_tau_on_step_0_or_1_is_zero_in_any_block():
+    # tau = 0.2 on a 2- or 4-step grid: an empty or one-step trapezoid whose
+    # g' vanishes, in blocks of one path and of three
+    axis = build_axis_aligned(ModelParams(tau=0.2))
+    for steps in (2, 4):
+        grid = TimeGrid(T=1.0, steps=steps)
+        k_tau = grid.nearest_index(0.2)
+        gp = bumps.eval(axis.g, grid.times, 1)
+        for n in (1, 3):
+            samples = np.full(n, np.nan)
+            montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 5, 0, n, samples)
+            assert np.array_equal(samples, np.zeros(n)), (steps, n)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])
@@ -351,6 +367,16 @@ def test_stdnormality_nan_statistic_fails(monkeypatch):
     assert math.isfinite(rep.params["mean"])
     assert math.isnan(rep.max_violation)
     assert rep.passed is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
+def test_ks_statistic_is_scipys_to_the_bit(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    for shift, scale in ((0.0, 1.0), (0.3, 1.0), (-0.1, 1.7), (0.05, 0.6)):
+        x = shift + scale * rng.standard_normal(n)
+        assert montecarlo._ks_statistic(x) == stats.kstest(x, "norm").statistic, (shift, scale)
 
 
 def test_stdnormality_tolerances_scale():
