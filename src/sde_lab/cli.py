@@ -42,6 +42,27 @@ class ConfigError(ValueError):
     """Configuration file or flag combination cannot be parsed."""
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# each part of a config field's type: the values it takes and how an error
+# names them (a JSON file may hold any value; bool is a subclass of int)
+_FIELD_TYPES = {
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "list[float]": (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
+    "list": (lambda x: isinstance(x, list), "a list"),
+    "dict": (lambda x: isinstance(x, dict), "an exponent-ladder dict"),
+    "None": (lambda x: x is None, "null"),
+}
+
+# size keys, each checked by the commands that read it (validate)
+_LOWER_BOUNDS = {"dt": 0, "n_paths": 1, "threads": 0}
+
+
 @dataclass
 class ExperimentConfig:
     """Flat experiment configuration; JSON files mirror these keys."""
@@ -53,11 +74,11 @@ class ExperimentConfig:
     m: int = 1
     p: float = 1.0
     q: float | None = None
-    v: list | None = None
-    delta: list | None = None
+    v: list[float] | None = None
+    delta: list[float] | None = None
     dt: float = 1.0 / 2048.0
     n_paths: int = 10_000
-    eps_grid: object = None  # list of floats or exponent-ladder dict
+    eps_grid: list | dict | None = None  # list of floats or exponent-ladder dict
     t_eval: float = 0.9
     seed: int = DEFAULT_SEED
     output_dir: str = "."
@@ -66,15 +87,21 @@ class ExperimentConfig:
     solver: str = "cascade"
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):  # a --config file may hold null or "5"
-            raise ConfigError(f"need an integer seed, got {self.seed!r}")
+        """Check each key's value against its field type."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = [_FIELD_TYPES[part] for part in f.type.split(" | ")]
+            if not any(accepts(value) for accepts, _ in kinds):
+                bound = f" > {_LOWER_BOUNDS[f.name]}" if f.name in _LOWER_BOUNDS else ""
+                names = " or ".join(name for _, name in kinds)
+                raise ConfigError(f"bad {f.name} {value!r}: need {f.name}{bound} as {names}")
 
     def validate(self, keys) -> None:
         """Check the values of ``keys``, the config keys a command reads; a
         config file may carry out-of-range values for the others."""
-        for key, low in (("dt", 0), ("n_paths", 1), ("threads", 0)):
+        for key, low in _LOWER_BOUNDS.items():
             value = getattr(self, key)
-            if key in keys and not (isinstance(value, (int, float)) and value > low):
+            if key in keys and not value > low:
                 raise ConfigError(f"need {key} > {low}, got {value!r}")
         if "n" in keys:
             self.model_params()

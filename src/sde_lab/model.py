@@ -4,11 +4,12 @@ The core object is the 5-d cascade drift
 
     nu(x) = (1, 0, g'(x1) x2, f(x1) x4 x5, f(x1) [(x3)^n - (x4)^2]),
 
-with f, g smooth bumps on (tau, T) and (0, tau). It is embedded into R^d by
-acting on the first five coordinates and conjugated by an affine map
-x -> B x + v, B = ||delta|| * (Householder reflection taking the 4th unit
-vector to delta/||delta||). Everything downstream (solvers, Monte Carlo,
-bound checks) consumes these two model records.
+with f, g smooth bumps on (tau, T) and (0, tau). It acts on the first five
+coordinates of R^d, zero beyond, and is conjugated by an affine map x -> B x
++ v, B = ||delta|| * (Householder reflection taking the 4th unit vector to
+delta/||delta||), so only B[:, :5] meets it (eval_mu, eval_mu_jacobian).
+Everything downstream (solvers, Monte Carlo, bound checks) consumes these
+two model records.
 """
 
 from __future__ import annotations
@@ -188,14 +189,6 @@ def eval_U_grad(
     return out
 
 
-def embedded_nu(model: AxisAlignedModel, x) -> np.ndarray:
-    """Drift on R^d: nu on the first five coordinates, zero beyond."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[..., :5] = eval_nu(model, x[..., :5])
-    return out
-
-
 def embedded_V(model: AxisAlignedModel, x):
     """Lyapunov function on R^d: U(first five) + sum of squares beyond + 1."""
     x = np.asarray(x, dtype=float)
@@ -238,10 +231,8 @@ def build_general(model: AxisAlignedModel) -> GeneralModel:
     A = householder_to(delta / dnorm)
     B = dnorm * A
     Binv = A.T / dnorm  # A orthogonal => B^{-1} = A^T / ||delta||
-    e2 = np.zeros(params.d)
-    e2[1] = 1.0  # the cascade's noise enters the second coordinate only
     sigma = np.zeros((params.d, params.m))
-    sigma[:, 0] = B @ e2
+    sigma[:, 0] = B[:, 1]  # the cascade's noise enters the second coordinate only
     vk = model.varkappa
     vnorm = float(np.linalg.norm(params.v))
     # kappa = 2 vk (1 + 2^vk max(1, ||v||^vk) / ||delta||), assembled in logs
@@ -259,9 +250,9 @@ def build_general(model: AxisAlignedModel) -> GeneralModel:
 
 
 def eval_mu(gm: GeneralModel, x) -> np.ndarray:
-    """General drift mu(x) = B nu~(B^{-1}(x - v))."""
+    """General drift mu(x) = B nu~(B^{-1}(x - v)); nu~ is zero past y5."""
     y = (np.asarray(x, dtype=float) - gm.params.v) @ gm.Binv.T
-    return embedded_nu(gm.base, y) @ gm.B.T
+    return eval_nu(gm.base, y[..., :5]) @ gm.B[:, :5].T
 
 
 def eval_mu_jacobian(gm: GeneralModel, x) -> np.ndarray:

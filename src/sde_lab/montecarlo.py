@@ -124,6 +124,12 @@ def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, ref, others, 
         out[row, lo:hi] = np.where(bad[0] | bad[row + 1], np.nan, dist)
 
 
+def _observation(params, t: float, steps: int | None):
+    """The sweep's time grid and the index of the grid time nearest t."""
+    grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
+    return grid, grid.nearest_index(t)
+
+
 def _estimates(model, x, ys, t, n_paths, seed, steps, solver, taming, n_threads):
     """One DistanceEstimate of E||X^x(t) - X^y(t)|| per y in ys, on shared paths."""
     params = model.params
@@ -135,8 +141,7 @@ def _estimates(model, x, ys, t, n_paths, seed, steps, solver, taming, n_threads)
         raise ValueError(f"unknown solver {solver!r}")
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in ys]
-    grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
-    k_obs = grid.nearest_index(t)
+    grid, k_obs = _observation(params, t, steps)
     if solver == "cascade":
         ref = model.Binv @ (x - params.v)
         others = [model.Binv @ (y - params.v) for y in ys]
@@ -236,6 +241,15 @@ def sweep_epsilon(
         raise ValueError("epsilon grid must be strictly decreasing")
     if not params.tau < t < params.T:
         raise ValueError(f"need t in (tau, T), got {t}")
+    # the bounds read kappa at the grid time t snaps to: check it before any draw
+    grid, k_obs = _observation(params, t, steps)
+    t_grid = float(grid.times[k_obs])
+    kap_t = bounds_mod.kappa_t(model.base.f, params.tau, t_grid) if t_grid > params.tau else 0.0
+    if not kap_t > 0.0:
+        raise ValueError(
+            f"t={t} snaps to grid time {t_grid}, where kappa_t = {kap_t}: "
+            f"need a grid time past tau={params.tau} where f has acted"
+        )
 
     ys = [params.v + e * params.delta for e in eps]
     estimates = _estimates(
@@ -247,8 +261,6 @@ def sweep_epsilon(
     log_eps = np.log(eps)
     local_slopes = np.diff(log_means) / np.diff(log_eps)
 
-    t_grid = estimates[0].t
-    kap_t = bounds_mod.kappa_t(model.base.f, params.tau, t_grid)
     c = bounds_mod.lemma21_c(
         bounds_mod.Lemma21Params(p=float(params.n), kappa=kap_t, eps=eps[0])
     )

@@ -5,17 +5,20 @@ integrator.
 The cascade solver mirrors the triangular structure of the drift: the first
 two coordinates are exact, the third is a quadrature of the second, and the
 last two form a nonautonomous ODE driven by the (frozen after tau) third
-coordinate, integrated by RK4 (one copy of the stages, _cascade_rk4).
-solve_cascade_batch records every step; solve_cascade_observed serves the
-distance sweep: it stacks all starts that share the paths into one RK4,
-runs it only over the steps where f acts up to the observation step, and
-returns that step alone. The Euler scheme knows nothing about the structure
-and serves as the independent cross-check.
+coordinate, integrated by RK4 (one copy of the stages, _cascade_rk4) from
+the first step where f acts (_first_active_step); before it X4 and X5 keep
+their start values. solve_cascade_batch records every step;
+solve_cascade_observed serves the distance sweep: it stacks all starts that
+share the paths into one RK4 up to the observation step and returns that
+step alone. The Euler scheme knows nothing about the structure and serves
+as the independent cross-check.
 
 Every solver is batched over paths (leading axis), and a caller that wants
 one path passes a batch of one: rows never depend on each other, so a path
-gets the same bits in any batch. Non-finite states are left in place for
-the caller to classify (_first_bad_steps).
+gets the same bits in any batch. (Cascade rows with different x1 share one
+RK4 window, so a row may get a NaN from 0 * inf, or a zero's sign, that it
+would not get alone.) Non-finite states are left in place for the caller to
+classify (_first_bad_steps).
 """
 
 from __future__ import annotations
@@ -114,6 +117,14 @@ def _cascade_forcing(axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, x0):
     return x1, x2, x3, fv, fm
 
 
+def _first_active_step(fv, fm) -> int:
+    """First step where f acts at either end or the middle, on any path; the
+    last step if none. Before it RK4 adds only +-0, or NaN from 0 * inf."""
+    active = (fv[..., :-1] != 0.0) | (fv[..., 1:] != 0.0) | (fm != 0.0)
+    active = np.any(active, axis=tuple(range(active.ndim - 1)))
+    return int(np.argmax(active)) if active.any() else active.shape[-1]
+
+
 def _cascade_rk4(n: int, dt: float, fv, fm, x3, x4, x5, k0: int, k1: int, record=None):
     """Advance (X4, X5) from step k0 to step k1 by RK4 and return them.
 
@@ -171,9 +182,10 @@ def solve_cascade_batch(
     out[:, :, 0] = x1
     out[:, :, 1] = x2
     out[:, :, 2] = x3
-    out[:, 0, 3:] = x0[:, 3:]
+    k_start = _first_active_step(fv, fm)
+    out[:, : k_start + 1, 3:] = x0[:, None, 3:]
     _cascade_rk4(
-        axis.params.n, grid.dt, fv, fm, x3, x0[:, 3], x0[:, 4], 0, K1 - 1, out[:, :, 3:]
+        axis.params.n, grid.dt, fv, fm, x3, x0[:, 3], x0[:, 4], k_start, K1 - 1, out[:, :, 3:]
     )
     return out
 
@@ -184,23 +196,20 @@ def solve_cascade_observed(
     """Cascade states at step k_obs for S starts sharing the paths w.
 
     starts has shape (S, 5) and w shape (P, k+1) with k >= k_obs; returns
-    (S, P, 5), bit-identical to solve_cascade_batch(...)[:, k_obs] per start
-    up to the sign of a zero. X1..X3 are computed once when all starts share
-    their first three coordinates, else once per start. One RK4 runs over
-    the stacked (S, P) starts, and only from the first step where f acts:
-    on steps where f is exactly 0 (before tau, and where it underflows after
-    it) RK4 leaves X4 and X5 unchanged. Since no stage makes a non-finite
-    state finite, a state is non-finite at k_obs exactly when it is
-    non-finite at some step up to k_obs.
+    (S, P, 5). X1..X3 are computed once when all starts share their first
+    three coordinates, else once per start, and one RK4 runs over the
+    stacked (S, P) starts. With shared heads, start s gets the bits of
+    solve_cascade_batch(..., starts[s])[:, k_obs], signed zeros and NaN
+    included. Since no stage makes a non-finite state finite, a state is
+    non-finite at k_obs exactly when it is non-finite at some step up to
+    k_obs.
     """
     starts = np.asarray(starts, dtype=float)
     w = w[:, : k_obs + 1]
     shared = np.all(starts[:, :3] == starts[0, :3])
     heads = (starts[:1] if shared else starts)[:, None, :]
     x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, heads)
-    active = (fv[..., :-1] != 0.0) | (fv[..., 1:] != 0.0) | (fm != 0.0)
-    active = np.any(active, axis=tuple(range(active.ndim - 1)))
-    k_start = int(np.argmax(active)) if active.any() else k_obs
+    k_start = _first_active_step(fv, fm)
     shape = (len(starts), w.shape[0])
     x4 = np.broadcast_to(starts[:, 3, None], shape)
     x5 = np.broadcast_to(starts[:, 4, None], shape)

@@ -155,6 +155,26 @@ def test_main_bad_dt(capsys):
     assert "does not divide" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "entry, flags",
+    [
+        ({"d": 6.5}, ["--n-paths", "4"]),
+        ({"m": 1.5}, ["--n-paths", "4"]),
+        ({"t_eval": "0.9"}, ["--n-paths", "4"]),
+        ({"n_paths": 2.5}, []),
+        ({"taming": "no"}, ["--n-paths", "4"]),
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, capsys, entry, flags):
+    # each key is checked against its field type when the config is built
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(entry))
+    code, out, err = run_main(["sweep", "--config", str(path), *flags], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    body = json.loads(err)
+    assert list(body) == ["error"] and body["error"].startswith(f"bad {next(iter(entry))} ")
+
+
 def test_main_bad_model_parameter(capsys):
     code, out, err = run_main(["verify-bounds", "--n", "1", "--trials", "10"], capsys)
     assert code == 2
@@ -520,14 +540,16 @@ def test_simulate_path_index_wraps_mod_2_64(tmp_path, capsys):
 
 
 def test_simulate_reports_its_own_explosion(tmp_path, capsys):
-    # x4 = 1e200 squares to inf at the first step; nothing is written
+    # x4 = 1e200 squares to inf, but RK4 starts where f first acts (step 257
+    # at dt = 1/512), so the state first turns non-finite at step 258;
+    # nothing is written
     code, out, err = run_main(
         ["simulate", "--x0-eps", "1e200", "--dt", "0.001953125", "--output", str(tmp_path)],
         capsys,
     )
     assert code == 1
     assert json.loads(out) == {
-        "check": "simulate", "passed": False, "error": "non-finite state first reached at step 1",
+        "check": "simulate", "passed": False, "error": "non-finite state first reached at step 258",
     }
     assert list(tmp_path.iterdir()) == []
 
@@ -555,6 +577,24 @@ def test_sweep_outputs_and_thread_invariance(tmp_path, capsys):
     assert sum1 == sum4
     summary = json.loads(sum1)
     assert summary["regime"] == "non-hoelder"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--t-eval", "0.5001"], ["--dt", "0.25", "--t-eval", "0.55"], ["--t-eval", "0.5005"]]
+)
+def test_sweep_time_without_kappa_fails_before_any_draw(tmp_path, capsys, monkeypatch, flags):
+    # each t lies in (tau, T) but snaps to a grid time where kappa_t = 0: tau
+    # itself, or (0.5005 -> step 1025 of 2048) a step past it where f
+    # underflows; the error names both times, and no path is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(montecarlo, "brownian_values_batch", no_draw)
+    code, out, err = run_main(["sweep", *flags, "--output", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert f"t={flags[-1]} snaps to grid time" in error and "tau=0.5" in error
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_ladder_flags(tmp_path, capsys):

@@ -11,7 +11,6 @@ from sde_lab.model import (
     ModelParams,
     build_axis_aligned,
     build_general,
-    embedded_nu,
     embedded_V,
     eval_general_V,
     eval_mu,
@@ -156,7 +155,7 @@ def test_U_grad_matches_finite_differences(axis):
 
 def test_embedding_dimension_five_is_identity(axis):
     x = np.array([0.7, 1.0, -0.5, 0.3, 2.0])
-    assert np.array_equal(embedded_nu(axis, x), eval_nu(axis, x))
+    assert np.array_equal(eval_mu(build_general(axis), x), eval_nu(axis, x))
     assert embedded_V(axis, x) == eval_U(axis, x) + 1.0
     # identity conjugation: the noise enters the second coordinate only
     assert np.array_equal(build_general(axis).sigma[:, 0], [0, 1, 0, 0, 0])
@@ -165,7 +164,7 @@ def test_embedding_dimension_five_is_identity(axis):
 def test_embedding_dimension_seven():
     axis7 = build_axis_aligned(ModelParams(d=7))
     x = np.array([0.7, 1.0, -0.5, 0.3, 2.0, 3.0, 3.0])
-    out = embedded_nu(axis7, x)
+    out = eval_mu(build_general(axis7), x)  # B = I: the drift in R^7 itself
     assert np.array_equal(out[5:], [0.0, 0.0])
     assert np.array_equal(out[:5], eval_nu(axis7, x[:5]))
     assert embedded_V(axis7, x) == eval_U(axis7, x[:5]) + 18.0 + 1.0
@@ -223,7 +222,7 @@ def test_build_general_identity_case(general):
     assert np.array_equal(general.A, np.eye(5))
     assert np.array_equal(general.B, np.eye(5))
     x = np.array([0.7, 1.0, -0.5, 0.3, 2.0])
-    assert np.array_equal(eval_mu(general, x), embedded_nu(general.base, x))
+    assert np.array_equal(eval_mu(general, x), eval_nu(general.base, x))
 
 
 def test_eval_mu_conjugation_identity():
@@ -234,8 +233,24 @@ def test_eval_mu_conjugation_identity():
     for _ in range(50):
         y = rng.uniform(-1, 1, d)
         x = gm.B @ y + prm.v
-        assert np.allclose(eval_mu(gm, x), gm.B @ embedded_nu(gm.base, y), atol=1e-9)
-    assert np.allclose(eval_mu(gm, prm.v), gm.B @ embedded_nu(gm.base, np.zeros(d)))
+        assert np.allclose(eval_mu(gm, x), gm.B @ eval_nu(gm.base, y), atol=1e-9)
+    assert np.allclose(eval_mu(gm, prm.v), gm.B @ eval_nu(gm.base, np.zeros(d)))
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_eval_mu_is_the_padded_drift_bit_for_bit(d):
+    # nu~ is zero beyond the fifth coordinate, so the 5-column block B[:, :5]
+    # gives the bits of the zero-padded product pad(nu(y[:5])) @ B.T on any
+    # input of two or more rows
+    rng = np.random.default_rng(40 + d)
+    prm = ModelParams(d=d, v=rng.uniform(-1, 1, d), delta=rng.uniform(-1, 1, d))
+    gm = build_general(build_axis_aligned(prm))
+    for shape in [(2, d), (17, d), (3, 2, d), (2, 9, d)]:
+        x = rng.uniform(-2, 2, shape)
+        y = (x - prm.v) @ gm.Binv.T
+        padded = np.zeros_like(y)
+        padded[..., :5] = eval_nu(gm.base, y[..., :5])
+        assert np.array_equal(eval_mu(gm, x), padded @ gm.B.T)
 
 
 def test_eval_mu_jacobian_chain_rule():
