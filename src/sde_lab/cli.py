@@ -387,8 +387,8 @@ def variation_fd_report(
     X, Xh = solvers.solve_em_batch(gm, grid, w, starts, taming=False)
     J = solvers.solve_variation_batch(gm, grid, X, h)
     fd = (Xh[:, -1] - X[:, -1]) / fd_eps
-    denom = np.maximum(np.linalg.norm(J[:, -1], axis=1), 1.0)
-    worst = float(np.max(np.linalg.norm(fd - J[:, -1], axis=1) / denom))
+    denom = np.maximum(np.linalg.norm(J, axis=1), 1.0)
+    worst = float(np.max(np.linalg.norm(fd - J, axis=1) / denom))
 
     tol = 1e-3
     return CheckReport(

@@ -3,18 +3,20 @@
 Every start rides the same Brownian path, drawn once per chunk of paths for
 the reference start and all perturbed ones (every epsilon of a sweep), so
 each sample distance is exactly the coupled difference the theory speaks
-about and the common noise cancels out of the variance. On the cascade
-route one solver call per chunk computes X1..X3 once and runs one RK4 over
-the stacked starts, from the first step where f acts to the observation
-step t, keeping only the state at t. A path aborts for two causes: its
-state at t is non-finite (no solver stage undoes that, so this is the same
-as a non-finite state at some step up to t; what happens after t does not
-count), or its states are finite but their distance overflows to inf.
+about and the common noise cancels out of the variance. One solver call
+per chunk advances all stacked starts to the observation step t and keeps
+only their states at t: the cascade route computes X1..X3 once and runs
+RK4 from the first step where f acts, the Euler route runs one Euler loop.
+A path aborts for two causes: its state at t is non-finite (no solver
+stage undoes that, so this is the same as a non-finite state at some step
+up to t; what happens after t does not count), or its states are finite
+but their distance overflows to inf.
 Determinism contract: results are a pure function of (model, inputs,
 master_seed); thread count and chunking cannot change a single bit because
 every path's randomness is derived from its global index alone and the
 mean/stderr reduction happens once, in index order, over a preallocated
-array.
+array (but on the Euler route with a general B, a one-path chunk rounds
+differently; see solvers).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import bounds as bounds_mod, bumps
 from .model import AxisAlignedModel, GeneralModel
 from .paths import TimeGrid, brownian_values_batch, normals_for_seeds, path_seed
 from .reports import CheckReport
-from .solvers import _x3_trapezoid, solve_cascade_observed, solve_em_batch
+from .solvers import _em_steps, _x3_trapezoid, solve_cascade_observed
 
 _CHUNK = 1024  # performance knob only; results are chunk-size independent
 # stdnorm-check draws its paths in blocks of about this many path steps, also
@@ -96,32 +98,26 @@ def _default_steps(T: float) -> int:
     return max(1, round(T * 2048))
 
 
-def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, ref, others, out):
+def _distance_chunk(gm, grid, k_obs, seed, lo, hi, solver, taming, starts, out):
     # full-horizon draw; keep=k_obs would give these columns' bits with less
     # work, left for a change that measures the sweep on its own
     w = brownian_values_batch(grid, gm.params.m, seed, lo, hi - lo)[:, : k_obs + 1]
     if solver == "cascade":
-        starts = np.array([ref, *others])[:, :5]
-        obs = solve_cascade_observed(gm.base, grid, w[:, :, 0], starts, k_obs)
+        obs = solve_cascade_observed(gm.base, grid, w[:, :, 0], starts[:, :5], k_obs)
     else:
-        # copy the final slice, so that each start's full history is freed at once
-        obs = [
-            solve_em_batch(gm, grid, w, s, taming=taming)[:, -1].copy()
-            for s in [ref, *others]
-        ]
+        obs = _em_steps(gm, grid.dt, w, np.repeat(starts[:, None], hi - lo, axis=1), taming)
     # a path aborts when its state is non-finite at t; no solver stage makes a
     # non-finite state finite again, so this is "non-finite at some step <= t"
-    bad = [~np.all(np.isfinite(o), axis=-1) for o in obs]
-    dnorm = float(np.linalg.norm(gm.params.delta))
-    for row, start in enumerate(others):
-        with np.errstate(over="ignore", invalid="ignore"):  # aborted or huge: not finite
-            diff = obs[0] - obs[row + 1]
-            if solver == "cascade":
-                tail_sq = float(np.sum((ref[5:] - start[5:]) ** 2))  # untouched coordinates
-                dist = dnorm * np.sqrt(np.sum(diff**2, axis=1) + tail_sq)
-            else:
-                dist = np.linalg.norm(diff, axis=1)
-        out[row, lo:hi] = np.where(bad[0] | bad[row + 1], np.nan, dist)
+    bad = ~np.all(np.isfinite(obs), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # aborted or huge: not finite
+        diff = obs[:1] - obs[1:]
+        if solver == "cascade":
+            tail_sq = np.sum((starts[:1, 5:] - starts[1:, 5:]) ** 2, axis=-1)  # constant coords
+            dnorm = np.linalg.norm(gm.params.delta)
+            dist = dnorm * np.sqrt(np.sum(diff**2, axis=-1) + tail_sq[:, None])
+        else:
+            dist = np.linalg.norm(diff, axis=-1)
+    out[:, lo:hi] = np.where(bad[:1] | bad[1:], np.nan, dist)
 
 
 def _observation(params, t: float, steps: int | None):
@@ -143,15 +139,14 @@ def _estimates(model, x, ys, t, n_paths, seed, steps, solver, taming, n_threads)
     ys = [np.asarray(y, dtype=float) for y in ys]
     grid, k_obs = _observation(params, t, steps)
     if solver == "cascade":
-        ref = model.Binv @ (x - params.v)
-        others = [model.Binv @ (y - params.v) for y in ys]
+        starts = np.array([model.Binv @ (s - params.v) for s in [x, *ys]])
     else:
-        ref, others = x, ys
+        starts = np.array([x, *ys])
 
     dist = np.full((len(ys), n_paths), np.nan)
     chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
     task = lambda c: _distance_chunk(
-        model, grid, k_obs, seed, c[0], c[1], solver, taming, ref, others, dist
+        model, grid, k_obs, seed, c[0], c[1], solver, taming, starts, dist
     )
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -10,15 +10,18 @@ the first step where f acts (_first_active_step); before it X4 and X5 keep
 their start values. solve_cascade_batch records every step;
 solve_cascade_observed serves the distance sweep: it stacks all starts that
 share the paths into one RK4 up to the observation step and returns that
-step alone. The Euler scheme knows nothing about the structure and serves
-as the independent cross-check.
+step alone. The Euler scheme (one loop, _em_steps) knows nothing about the
+structure and serves as the independent cross-check.
 
 Every solver is batched over paths (leading axis), and a caller that wants
-one path passes a batch of one: rows never depend on each other, so a path
-gets the same bits in any batch. (Cascade rows with different x1 share one
-RK4 window, so a row may get a NaN from 0 * inf, or a zero's sign, that it
-would not get alone.) Non-finite states are left in place for the caller to
-classify (_first_bad_steps).
+one path passes a batch of one. Rows never depend on each other; with B = I
+a path gets the same bits in any batch, and stacked (S, P, d) starts get
+those of S separate solves. With a general B the Euler drift's products
+round differently for one row (numpy's matrix-vector route) than for more,
+within 1e-10 relative (tests/test_solvers.py). (Cascade rows with different
+x1 share one RK4 window, so a row may get a NaN from 0 * inf, or a zero's
+sign, that it would not get alone.) Non-finite states are left in place for
+the caller to classify (_first_bad_steps).
 """
 
 from __future__ import annotations
@@ -235,6 +238,27 @@ def solve_cascade_general(
     return y @ gm.B.T + gm.params.v
 
 
+def _em_steps(gm: GeneralModel, dt: float, w: np.ndarray, cur, taming: bool, record=None):
+    """Advance the state cur, (P, d) or (S, P, d), along every column of w,
+    shape (P, k+1, m), and return it; record[..., j, :], if given, receives
+    the state after each step j in [1, k]. The tamed step scales the drift
+    increment by 1/(1 + dt ||mu||) per path; with taming off this is the
+    plain scheme. Neither makes a non-finite state finite again."""
+    sigmaT = gm.sigma.T  # (m, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(w.shape[1] - 1):
+            mu = model_mod.eval_mu(gm, cur)
+            if taming:
+                denom = 1.0 + dt * np.linalg.norm(mu, axis=-1, keepdims=True)
+                step = mu * (dt / denom)
+            else:
+                step = mu * dt
+            cur = cur + step + (w[:, k + 1] - w[:, k]) @ sigmaT
+            if record is not None:
+                record[..., k + 1, :] = cur
+    return cur
+
+
 def solve_em_batch(
     gm: GeneralModel, grid: TimeGrid, w: np.ndarray, x0, taming: bool = True
 ) -> np.ndarray:
@@ -244,29 +268,11 @@ def solve_em_batch(
     S starts on each path, shape (S, P, d): then all S run in one loop on
     the shared w and the result has shape (S, P, steps+1, d), bit-identical
     to S separate solves (the drift's matrix products run per start).
-    The tamed step scales the drift increment by 1/(1 + dt ||mu||) per path;
-    with taming off this is the plain scheme.
     """
-    P, K1, m = w.shape
-    K = K1 - 1
-    dt = grid.dt
-    d = gm.params.d
-    x0 = _expand_x0(x0, P, d, starts=True)
-    sigmaT = gm.sigma.T  # (m, d)
-
-    out = np.empty(x0.shape[:-1] + (K1, d))
-    cur = x0.copy()
-    out[..., 0, :] = cur
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            mu = model_mod.eval_mu(gm, cur)
-            if taming:
-                denom = 1.0 + dt * np.linalg.norm(mu, axis=-1, keepdims=True)
-                step = mu * (dt / denom)
-            else:
-                step = mu * dt
-            cur = cur + step + (w[:, k + 1] - w[:, k]) @ sigmaT
-            out[..., k + 1, :] = cur
+    x0 = _expand_x0(x0, w.shape[0], gm.params.d, starts=True)
+    out = np.empty(x0.shape[:-1] + (w.shape[1], gm.params.d))
+    out[..., 0, :] = x0
+    _em_steps(gm, grid.dt, w, x0, taming, out)
     return out
 
 
@@ -276,24 +282,21 @@ def solve_variation_batch(
     """First-variation J' = mu'(X(t)) J, J(0)=h, by RK4 along given states.
 
     states has shape (P, steps+1, d); h is one direction in R^d or (P, d).
-    X is interpolated linearly for the midpoint stage. The Jacobians at the
-    grid points and midpoints are evaluated _JAC_BLOCK steps at a time, time
-    leading, so each step's (P, d, d) slice has the bits and layout of a
-    per-step call.
+    Returns J at the last step, shape (P, d). X is interpolated linearly for
+    the midpoint stage. The Jacobians at the grid points and midpoints are
+    evaluated _JAC_BLOCK steps at a time, time leading, so each step's
+    (P, d, d) slice has the bits and layout of a per-step call.
     """
     P, K1, d = states.shape
-    K = K1 - 1
     dt = grid.dt
     half = 0.5 * dt
     J = _expand_x0(h, P, d).copy()
-    out = np.empty((P, K1, d))
-    out[:, 0] = J
 
     def apply(jac, vec):
         return np.einsum("pij,pj->pi", jac, vec)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, K, _JAC_BLOCK):
+        for k0 in range(0, K1 - 1, _JAC_BLOCK):
             x = np.ascontiguousarray(states[:, k0 : k0 + _JAC_BLOCK + 1].swapaxes(0, 1))
             jac = model_mod.eval_mu_jacobian(gm, x)
             jac_mid = model_mod.eval_mu_jacobian(gm, 0.5 * (x[:-1] + x[1:]))
@@ -303,8 +306,7 @@ def solve_variation_batch(
                 k3 = apply(jac_mid[j], J + half * k2)
                 k4 = apply(jac[j + 1], J + dt * k3)
                 J = J + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-                out[:, k0 + j + 1] = J
-    return out
+    return J
 
 
 def write_solution_csv(grid: TimeGrid, states: np.ndarray, fileobj) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sde_lab import bumps, cli, montecarlo
+from sde_lab import bumps, cli, montecarlo, solvers
 from sde_lab.model import ModelParams, build_axis_aligned, build_general
 from sde_lab.montecarlo import (
     DistanceEstimate,
@@ -22,7 +22,12 @@ from sde_lab.montecarlo import (
     sweep_to_csv,
 )
 from sde_lab.paths import TimeGrid, brownian_values_batch
-from sde_lab.solvers import _first_bad_steps, _x3_trapezoid, solve_cascade_batch
+from sde_lab.solvers import (
+    _first_bad_steps,
+    _x3_trapezoid,
+    solve_cascade_batch,
+    solve_em_batch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,20 +95,73 @@ def test_default_sweep_distances_are_frozen(solver, n_paths, steps, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_em_sweep_holds_one_history_at_a_time(general):
-    # the Euler route reads only the state at t of each start's solve, so the
-    # (P, k_obs+1, d) histories must not pile up across the starts of a chunk
+def test_em_sweep_holds_one_history_at_a_time():
+    # the Euler route advances the stacked starts to t and keeps no
+    # (P, k_obs+1, d) history: at d = 16 one history is 1.7 MB, and the
+    # sweep's traced peak must stay below half of it (it held one history at
+    # a time, about 1.1 of one, when each start ran a full-history solve)
+    gm = build_general(build_axis_aligned(ModelParams(d=16)))
     cfg = cli.ExperimentConfig()
     n_paths, steps = 64, 512
     k_obs = TimeGrid(T=1.0, steps=steps).nearest_index(cfg.t_eval)
-    history = n_paths * (k_obs + 1) * general.params.d * 8
+    history = n_paths * (k_obs + 1) * gm.params.d * 8
     tracemalloc.start()
     try:
-        sweep_epsilon(general, cfg.t_eval, cfg.epsilons(), n_paths, 1, steps=steps, solver="em")
+        sweep_epsilon(gm, cfg.t_eval, cfg.epsilons(), n_paths, 1, steps=steps, solver="em")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * history, peak / history
+    assert peak < 0.5 * history, peak / history
+
+
+@pytest.mark.parametrize("taming", [True, False])
+@pytest.mark.parametrize("d, m", [(7, 1), (9, 2)])
+def test_em_sweep_states_at_t_are_separate_solves(monkeypatch, d, m, taming):
+    # the stacked Euler route against one independent full-history solve per
+    # start and chunk, read at k_obs; 65 paths in chunks of 32 leave a
+    # one-path tail, and a start with a NaN must abort every path
+    rng = np.random.default_rng(60 + d)
+    prm = ModelParams(d=d, m=m, v=rng.uniform(-1, 1, d), delta=rng.uniform(-1, 1, d))
+    gm = build_general(build_axis_aligned(prm))
+    n_paths, steps, seed, t = 65, 256, 9, 0.9
+    monkeypatch.setattr(montecarlo, "_CHUNK", 32)
+    seen = []
+
+    def spy(*args):
+        seen.append(solvers._em_steps(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(montecarlo, "_em_steps", spy)
+    eps = np.array([0.3, 0.01, 1e-4])
+    res = sweep_epsilon(gm, t, eps, n_paths, seed, steps=steps, solver="em", taming=taming)
+    nan_start = prm.v.copy()
+    nan_start[3] = np.nan
+    with pytest.raises(EstimationFailedError, match=f"all {n_paths} paths aborted"):
+        estimate_distance(gm, prm.v, nan_start, t, n_paths, seed, steps=steps,
+                          solver="em", taming=taming)
+
+    grid = TimeGrid(T=prm.T, steps=steps)
+    k_obs = grid.nearest_index(t)
+    w = brownian_values_batch(grid, m, seed, 0, n_paths)
+    chunks = [(0, 32), (32, 64), (64, 65)]
+    runs = [[prm.v, *(prm.v + e * prm.delta for e in eps)], [prm.v, nan_start]]
+    assert len(seen) == len(runs) * len(chunks)
+    want = []
+    for r, starts in enumerate(runs):
+        states = [
+            np.concatenate([
+                solve_em_batch(gm, grid, w[lo:hi], x0, taming=taming)[:, k_obs]
+                for lo, hi in chunks
+            ])
+            for x0 in starts
+        ]
+        got = np.concatenate(seen[r * len(chunks) : (r + 1) * len(chunks)], axis=1)
+        assert np.array_equal(got, np.stack(states), equal_nan=True)
+        want.append(states)
+    assert np.all(np.isfinite(want[0])) and not np.any(np.isfinite(want[1][1]))
+    ref = want[0][0]
+    for est, y_state in zip(res.estimates, want[0][1:]):
+        assert np.array_equal(est.distances, np.linalg.norm(ref - y_state, axis=1))
 
 
 def test_identical_starts_give_zero_distance(general):

@@ -175,6 +175,27 @@ def test_em_batch_matches_single(general):
             assert np.array_equal(batch[i : i + 1], single)
 
 
+@pytest.mark.parametrize("taming", [True, False])
+def test_em_one_path_solve_agrees_with_its_batch_row(taming):
+    # with a general B a one-row drift product takes numpy's matrix-vector
+    # route and may round differently from a batch; the bound (1e-10 of each
+    # coordinate's size, at least 1) was fixed before measuring, and these
+    # paths differ by at most 2.4e-14 on that scale
+    rng = np.random.default_rng(14)
+    d = 7
+    prm = ModelParams(d=d, v=rng.uniform(-1, 1, d), delta=rng.uniform(-1, 1, d))
+    gm = build_general(build_axis_aligned(prm))
+    grid = TimeGrid(T=1.0, steps=512)
+    w = brownian_values_batch(grid, 1, 15, 0, 4)
+    x0 = prm.v + gm.B @ rng.uniform(-0.3, 0.3, d)
+    batch = solve_em_batch(gm, grid, w, x0, taming=taming)
+    single = np.concatenate(
+        [solve_em_batch(gm, grid, w[i : i + 1], x0, taming=taming) for i in range(4)]
+    )
+    assert np.all(np.isfinite(batch))
+    assert np.all(np.abs(single - batch) <= 1e-10 * np.maximum(1.0, np.abs(batch)))
+
+
 def test_em_commutes_with_affine_conjugation(axis):
     # the Euler step in transformed coordinates is the transform of the
     # Euler step, path by path (additive noise, exact commutation)
@@ -191,16 +212,23 @@ def test_em_commutes_with_affine_conjugation(axis):
     assert np.allclose(em_x, em_y @ gm.B.T + prm.v, rtol=1e-10, atol=1e-10)
 
 
+def _prefix_steps(K: int) -> list:
+    """Steps k at which a test reads J, as the final J of the prefix X[:, :k+1]:
+    the first step, both sides of the Jacobian block edge, and the last."""
+    b = solvers._JAC_BLOCK
+    return sorted({k for k in (1, b - 1, b, b + 1, K) if 1 <= k <= K})
+
+
 def test_variation_starts_at_direction_and_keeps_flat_rows(general):
     grid = TimeGrid(T=1.0, steps=256)
     w = brownian_values_batch(grid, 1, 21, 2, 1)
     X = solve_em_batch(general, grid, w, np.array([0.0, 0.0, 0.3, 0.05, 0.0]), taming=False)
     h = np.array([0.3, -1.0, 0.2, 0.5, 0.1])
-    J = solve_variation_batch(general, grid, X, h)[0]
-    assert np.array_equal(J[0], h)
-    # drift rows 1 and 2 vanish identically, so those components never move
-    assert np.all(J[:, 0] == h[0])
-    assert np.all(J[:, 1] == h[1])
+    assert np.array_equal(solve_variation_batch(general, grid, X[:, :1], h)[0], h)
+    for k in _prefix_steps(grid.steps):
+        J = solve_variation_batch(general, grid, X[:, : k + 1], h)[0]
+        # drift rows 1 and 2 vanish identically, so those components never move
+        assert np.array_equal(J[:2], h[:2])
 
 
 def test_variation_batch_matches_single(general):
@@ -208,10 +236,12 @@ def test_variation_batch_matches_single(general):
     w = brownian_values_batch(grid, 1, 22, 0, 3)
     X = solve_em_batch(general, grid, w, np.array([0.0, 0.0, 0.3, 0.05, 0.0]), taming=False)
     h = np.array([1.0, 0.0, 0.0, 0.5, -0.2])
-    batch = solve_variation_batch(general, grid, X, h)
-    for i in range(3):
-        single = solve_variation_batch(general, grid, X[i : i + 1], h)
-        assert np.array_equal(batch[i : i + 1], single)
+    for k in range(grid.steps + 1):  # J at every step, as the final J of a prefix
+        batch = solve_variation_batch(general, grid, X[:, : k + 1], h)
+        assert batch.shape == (3, 5)
+        for i in range(3):
+            single = solve_variation_batch(general, grid, X[i : i + 1, : k + 1], h)
+            assert np.array_equal(batch[i : i + 1], single)
 
 
 def _variation_per_step(gm, grid, states, h):
@@ -262,9 +292,11 @@ def test_variation_matches_per_step_jacobians_bit_for_bit(conjugated, n_paths, p
     x0 = gm.B @ rng.uniform(-0.3, 0.3, 7) + gm.params.v
     X = solve_em_batch(gm, grid, w, x0, taming=False)
     h = rng.standard_normal(7)
-    J = solve_variation_batch(gm, grid, X, h)
-    assert np.any(J[:, -1] != h)
-    assert np.array_equal(J, _variation_per_step(gm, grid, X, h))
+    reference = _variation_per_step(gm, grid, X, h)
+    assert np.any(solve_variation_batch(gm, grid, X, h) != h)
+    for k in _prefix_steps(steps):
+        J = solve_variation_batch(gm, grid, X[:, : k + 1], h)
+        assert np.array_equal(J, reference[:, k])
 
 
 @pytest.mark.parametrize("taming", [False, True])
@@ -293,7 +325,7 @@ def test_variation_of_frozen_jacobian_is_matrix_exponential(general):
     h = np.array([0.0, 1.0, -0.5, 0.3, 0.2])
     J = solve_variation_batch(general, grid, states[None, ...], h)[0]
     jac = eval_mu_jacobian(general, x_star)
-    assert np.allclose(J[-1], expm(jac) @ h, rtol=1e-8, atol=1e-10)
+    assert np.allclose(J, expm(jac) @ h, rtol=1e-8, atol=1e-10)
 
 
 def test_cascade_general_default_model_is_padded_batch():
