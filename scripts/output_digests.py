@@ -2,7 +2,10 @@
 
 Runs a fixed list of small ``sde-lab`` configs, covering every subcommand
 and both solvers (among them Euler sweeps with a general v and delta at
-d = 7, tamed and untamed, with two threads, and at d = 9 with m = 2), each
+d = 7, tamed and untamed, with two threads, and at d = 9 with m = 2) and
+models other than the default (the gentle n = 2 model on width-1 supports,
+and narrow supports at tau = 0.2, T = 0.6), so the bump normalizations and
+kappa_t in ``sweep_summary.json`` are compared too. Each runs
 in a fresh process with one BLAS thread and its own output directory. For
 each it prints the exit code and the sha256 of stdout and of every file
 the run wrote. Run it on two checkouts and diff the outputs to see whether
@@ -39,6 +42,8 @@ _V7 = ["--d", "7", "--v", "0.4,-0.3,0.2,0.1,-0.5,0.3,0.6",
 _V9 = ["--d", "9", "--m", "2", "--v", "0.2,0.1,-0.3,0.4,0.0,-0.1,0.3,0.2,-0.4",
        "--delta", "0.3,-0.5,0.2,0.1,0.6,0.2,-0.3,0.4,0.1"]
 _DT512 = ["--dt", "0.001953125"]
+_GENTLE = ["--n", "2", "--tau", "1", "--T", "2"]
+_NARROW = ["--tau", "0.2", "--T", "0.6", "--dt", "0.0005"]
 
 CONFIGS = {
     "verify-bounds": ["verify-bounds", "--trials", "2000"],
@@ -57,6 +62,9 @@ CONFIGS = {
                           "0.3,0.05,0.001", *_DT512],
     "transform-check-d7": ["transform-check", "--paths", "8", *_V7],
     "variation-check": ["variation-check", "--paths", "4", "--dt", "0.000244140625"],
+    "verify-bounds-gentle": ["verify-bounds", "--trials", "2000", *_GENTLE],
+    "sweep-cascade-gentle": ["sweep", "--n-paths", "600", "--t-eval", "1.8", *_GENTLE],
+    "sweep-cascade-narrow": ["sweep", "--n-paths", "600", "--t-eval", "0.5", *_NARROW],
 }
 
 

@@ -92,7 +92,7 @@ def make_normalized_bump(a: float, b: float) -> BumpFunction:
     def scaled_sq(t):
         inside, s, _ = _raw_parts(a, b, t)
         expo = np.where(inside, 2.0 / s_max - 2.0 / s, -np.inf)
-        return float(np.where(inside, np.exp(expo), 0.0))
+        return np.where(inside, np.exp(expo), 0.0)
 
     scaled = adaptive_simpson(scaled_sq, a, b, abs_tol=1e-15, rel_tol=1e-12)
     if not scaled > 0.0:

@@ -48,6 +48,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from sde_lab import bumps
+from sde_lab.quadrature import _MAX_EVALS, QuadratureToleranceError, _simpson
 
 _Z_SPAN = 7.0  # the z quadrature covers |z| <= 7
 
@@ -75,6 +76,55 @@ def gauss_legendre(func, a, b, n):
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return half * np.sum(w * func(mid + half * x))
+
+
+def recursive_simpson(func, a, b, abs_tol=1e-12, rel_tol=1e-12, max_depth=60):
+    """Depth-first reference for ``quadrature.adaptive_simpson``.
+
+    The package's recursive form before it went breadth-first, kept word for
+    word: ``func`` is called on one scalar point at a time, the nodes are
+    visited depth-first and summed as left + right on the way back up. The
+    breadth-first routine must return the same bits and evaluate the same
+    number of points.
+    """
+    if not b > a:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    fa, fb = func(a), func(b)
+    m = 0.5 * (a + b)
+    fm = func(m)
+    whole = _simpson(fa, fm, fb, b - a)
+    # first pass to get a scale for the relative part of the target
+    scale = max(abs(whole), abs_tol)
+    tol = max(abs_tol, rel_tol * scale)
+    evals = 3
+
+    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
+        nonlocal evals
+        if evals + 2 > _MAX_EVALS:
+            raise QuadratureToleranceError(
+                f"adaptive Simpson exceeded its budget of {_MAX_EVALS} evaluations "
+                f"on [{a}, {b}] at depth {depth} (target {tol:.3e})"
+            )
+        evals += 2
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = func(lm), func(rm)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        if depth >= max_depth:
+            raise QuadratureToleranceError(
+                f"adaptive Simpson stalled on [{a}, {b}] at depth {depth} "
+                f"(local error {abs(err)/15.0:.3e}, target {tol:.3e})"
+            )
+        half = 0.5 * tol
+        return recurse(a, fa, lm, flm, m, fm, left, half, depth + 1) + recurse(
+            m, fm, rm, frm, b, fb, right, half, depth + 1
+        )
+
+    return recurse(a, fa, m, fm, b, fb, whole, tol, 0)
 
 
 def x3_variance(g, tau, nodes=400):
