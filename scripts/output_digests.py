@@ -1,8 +1,9 @@
 """Output digests of small CLI runs, one JSON line per config.
 
 Runs a fixed list of small ``sde-lab`` configs, covering every subcommand
-and both solvers (among them Euler sweeps with a general v and delta at
-d = 7, tamed and untamed, with two threads, and at d = 9 with m = 2) and
+and both solvers (among them a one-start cascade ``simulate`` and Euler
+sweeps with a general v and delta at d = 7, tamed and untamed, with two
+threads, and at d = 9 with m = 2) and
 models other than the default (the gentle n = 2 model on width-1 supports,
 and narrow supports at tau = 0.2, T = 0.6), so the bump normalizations and
 kappa_t in ``sweep_summary.json`` are compared too. Each runs
@@ -50,6 +51,7 @@ CONFIGS = {
     "lemma21": ["lemma21"],
     "stdnorm-check": ["stdnorm-check", "--check-paths", "2000"],
     "simulate-cascade": ["simulate", "--path-index", "3"],
+    "simulate-cascade-d7": ["simulate", "--path-index", "3", *_V7],
     "simulate-em-d7": ["simulate", "--solver", "em", "--path-index", "3", *_V7],
     "sweep-cascade": ["sweep", "--n-paths", "600", "--threads", "2"],
     "sweep-cascade-d7": ["sweep", "--n-paths", "1025", *_V7],

@@ -96,10 +96,20 @@ def build_kappa_schedule(f: BumpFunction, tau: float, times) -> np.ndarray:
     return 0.5 * integral**2
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y for x >= 0; inf where it overflows, as a float product does
+    (Python's ** raises OverflowError instead)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def lemma21_c(prm: Lemma21Params) -> float:
-    """Closed-form constant p kappa^(-2/p) + (sqrt(2 pi) p + 1) kappa + 1."""
+    """Closed-form constant p kappa^(-2/p) + (sqrt(2 pi) p + 1) kappa + 1;
+    inf where it overflows (the minorant is then 0)."""
     p, k = prm.p, prm.kappa
-    return p * k ** (-2.0 / p) + (_SQRT2PI * p + 1.0) * k + 1.0
+    return p * _power(k, -2.0 / p) + (_SQRT2PI * p + 1.0) * k + 1.0
 
 
 def lemma21_lhs(prm: Lemma21Params) -> float:
@@ -108,7 +118,8 @@ def lemma21_lhs(prm: Lemma21Params) -> float:
     Even integrand; integrated on [0, 12] (the density and the double
     exponential kill everything beyond) with breakpoints at the cutoff where
     the correction term reaches unit size. The integrand is assembled in log
-    space so the inner exponential cannot overflow.
+    space so the inner exponential cannot overflow; where kappa |z|^p
+    overflows, the correction term wins and the integrand is 0.
     """
     from scipy import integrate  # imported here: no other command needs it
 
@@ -117,7 +128,7 @@ def lemma21_lhs(prm: Lemma21Params) -> float:
     ln_e2k = 2.0 * ln_eps + math.log(kappa)
 
     def integrand(z):
-        a = kappa * z**p
+        a = kappa * _power(z, p)
         ln_corr = 2.0 * a + ln_e2k
         if ln_corr > 700.0:
             return 0.0  # correction term astronomically large, value underflows

@@ -309,8 +309,10 @@ def cmd_transform_check(config: ExperimentConfig, args) -> int:
 
 def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per path, the largest Euclidean distance over time between two (P, K+1,
-    d) path arrays, one path at a time: no (P, K+1, d) temporary."""
-    return np.array([np.linalg.norm(x - y, axis=1).max() for x, y in zip(a, b)])
+    d) path arrays, one path at a time: no (P, K+1, d) temporary. A
+    non-finite path gives inf or nan, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([np.linalg.norm(x - y, axis=1).max() for x, y in zip(a, b)])
 
 
 def transform_equivalence_report(
@@ -358,7 +360,7 @@ def transform_equivalence_report(
             "tolerance": tol,
             "violation_scale": "absolute_excess",
         },
-        max_violation=float(max_fine - tol if ratio_ok else max(max_fine - tol, 1.0)),
+        max_violation=float(max_fine - tol if ratio_ok else np.max([max_fine - tol, 1.0])),
         grid_size=n_paths,
         passed=passed,
     )

@@ -279,6 +279,14 @@ def eval_general_V_directional(gm: GeneralModel, x, w) -> np.ndarray:
     return dnorm * np.sum(grad * (np.asarray(w, dtype=float) @ gm.Binv.T), axis=-1)
 
 
+def _box(rng: np.random.Generator, count: int, dim: int, radius: float):
+    """count points drawn uniformly from the cube [-radius, radius]^dim. The
+    cube's width must be a finite float, else no uniform draw exists."""
+    if not np.isfinite(2.0 * radius):
+        raise ValueError(f"need a box radius with a finite width 2 * radius, got {radius}")
+    return rng.uniform(-radius, radius, size=(count, dim))
+
+
 def _sphere(rng: np.random.Generator, count: int, dim: int, radius: float):
     z = rng.standard_normal((count, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -310,7 +318,7 @@ def verify_jacobian_growth(
     rng = np.random.default_rng(seed)
     if isinstance(model, AxisAlignedModel):
         n = model.params.n
-        x = rng.uniform(-box_radius, box_radius, size=(trials, 5))
+        x = _box(rng, trials, 5, box_radius)
         h = _sphere(rng, trials, 5, 1.0)
         jac = eval_nu_jacobian(model, x)
         lhs = np.linalg.norm(np.einsum("pij,pj->pi", jac, h), axis=1)
@@ -333,7 +341,7 @@ def verify_jacobian_growth(
 
     gm: GeneralModel = model
     d = gm.params.d
-    x = rng.uniform(-box_radius, box_radius, size=(trials, d))
+    x = _box(rng, trials, d, box_radius)
     h = _sphere(rng, trials, d, 1.0)
     jac = eval_mu_jacobian(gm, x)
     lhs = np.linalg.norm(np.einsum("pij,pj->pi", jac, h), axis=1)
@@ -369,7 +377,7 @@ def verify_lyapunov(
     if isinstance(model, AxisAlignedModel):
         p, q = model.params.p, model.params.q
         c = max(bumps.sup_abs(model.f, 0), bumps.sup_abs(model.g, 1))
-        x = rng.uniform(-box_radius, box_radius, size=(trials, 5))
+        x = _box(rng, trials, 5, box_radius)
         z = _sphere(rng, trials, 1, z_radius)[:, 0]
         shifted = x + model.rho[None, :] * z[:, None]
         lhs = np.sum(eval_U_grad(model, x, p, q) * eval_nu(model, shifted), axis=1)
@@ -397,7 +405,7 @@ def verify_lyapunov(
 
     gm: GeneralModel = model
     d, m = gm.params.d, gm.params.m
-    x = rng.uniform(-box_radius, box_radius, size=(trials, d))
+    x = _box(rng, trials, d, box_radius)
     z = _sphere(rng, trials, m, z_radius)
     shifted = x + z @ gm.sigma.T
     lhs = eval_general_V_directional(gm, x, eval_mu(gm, shifted))

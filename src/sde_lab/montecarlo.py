@@ -15,8 +15,7 @@ Determinism contract: results are a pure function of (model, inputs,
 master_seed); thread count and chunking cannot change a single bit because
 every path's randomness is derived from its global index alone and the
 mean/stderr reduction happens once, in index order, over a preallocated
-array (but on the Euler route with a general B, a one-path chunk rounds
-differently; see solvers).
+array.
 """
 
 from __future__ import annotations

@@ -7,21 +7,19 @@ two coordinates are exact, the third is a quadrature of the second, and the
 last two form a nonautonomous ODE driven by the (frozen after tau) third
 coordinate, integrated by RK4 (one copy of the stages, _cascade_rk4) from
 the first step where f acts (_first_active_step); before it X4 and X5 keep
-their start values. solve_cascade_batch records every step;
-solve_cascade_observed serves the distance sweep: it stacks all starts that
-share the paths into one RK4 up to the observation step and returns that
-step alone. The Euler scheme (one loop, _em_steps) knows nothing about the
-structure and serves as the independent cross-check.
+their start values. Every RK4 window runs on one clock X1 = x1 + t, so the
+bump factors and the window's first step are functions of time alone.
+solve_cascade_batch records every step from one start;
+solve_cascade_observed serves the distance sweep: it stacks the starts that
+share the paths and a clock into one RK4 up to the observation step and
+returns that step alone. The Euler scheme (one loop, _em_steps) knows
+nothing about the structure and serves as the independent cross-check.
 
 Every solver is batched over paths (leading axis), and a caller that wants
-one path passes a batch of one. Rows never depend on each other; with B = I
-a path gets the same bits in any batch, and stacked (S, P, d) starts get
-those of S separate solves. With a general B the Euler drift's products
-round differently for one row (numpy's matrix-vector route) than for more,
-within 1e-10 relative (tests/test_solvers.py). (Cascade rows with different
-x1 share one RK4 window, so a row may get a NaN from 0 * inf, or a zero's
-sign, that it would not get alone.) Non-finite states are left in place for
-the caller to classify (_first_bad_steps).
+one path passes a batch of one. Rows never depend on each other: a path
+gets the same bits in any batch, and stacked (S, P, d) starts get those of
+S separate solves. Non-finite states are left in place for the caller to
+classify (_first_bad_steps).
 """
 
 from __future__ import annotations
@@ -98,34 +96,32 @@ def _x3_trapezoid(gp, x2, dt: float, x3_0, out: np.ndarray, axis: int = -1) -> N
         np.add(last, x3_0, out=out)
 
 
-def _cascade_forcing(axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, x0):
+def _cascade_forcing(axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, clock: float, x0):
     """X1, X2, X3 and the bump factors g'(X1), f(X1), f(X1 at mid-steps).
 
-    w holds the first k+1 grid values of the paths, shape (P, k+1); x0 has
-    shape (..., 5) and broadcasts against the path axis. Time is the last
-    axis of every result. The bump factors depend on x0_1 only, so when all
-    starts share it they are evaluated once, on the time axis alone.
+    Every start runs on the one clock X1 = clock + t, so X1 and the bump
+    factors are evaluated on the time axis alone, shape (k+1,) (k at
+    mid-steps). w holds the first k+1 grid values of the paths, shape
+    (P, k+1); x0 has shape (..., 5), broadcasts against the path axis and
+    gives X2 and X3 their starts (its first coordinate is not read). Time is
+    the last axis of every result.
     """
     dt = grid.dt
-    times = grid.times[: w.shape[-1]]
-    x1 = x0[..., 0, None] + times
+    x1 = clock + grid.times[: w.shape[-1]]
     x2 = x0[..., 1, None] + w
-    first = x0[..., 0].ravel()
-    s = first[0] + times if np.all(first == first[0]) else x1
-    gp = bumps.eval(axis.g, s, 1)
-    fv = bumps.eval(axis.f, s, 0)
-    fm = bumps.eval(axis.f, s[..., :-1] + 0.5 * dt, 0)
-    x3 = np.empty(np.broadcast_shapes(gp.shape, x2.shape, x0.shape[:-1] + (1,)))
+    gp = bumps.eval(axis.g, x1, 1)
+    fv = bumps.eval(axis.f, x1, 0)
+    fm = bumps.eval(axis.f, x1[:-1] + 0.5 * dt, 0)
+    x3 = np.empty(np.broadcast_shapes(x2.shape, x0.shape[:-1] + (1,)))
     _x3_trapezoid(gp, x2, dt, x0[..., 2, None], x3)
     return x1, x2, x3, fv, fm
 
 
 def _first_active_step(fv, fm) -> int:
-    """First step where f acts at either end or the middle, on any path; the
-    last step if none. Before it RK4 adds only +-0, or NaN from 0 * inf."""
-    active = (fv[..., :-1] != 0.0) | (fv[..., 1:] != 0.0) | (fm != 0.0)
-    active = np.any(active, axis=tuple(range(active.ndim - 1)))
-    return int(np.argmax(active)) if active.any() else active.shape[-1]
+    """First step where f acts at either end or the middle; the last step if
+    none. Before it RK4 adds only +-0, or NaN from 0 * inf."""
+    active = (fv[:-1] != 0.0) | (fv[1:] != 0.0) | (fm != 0.0)
+    return int(np.argmax(active)) if active.any() else len(active)
 
 
 def _cascade_rk4(n: int, dt: float, fv, fm, x3, x4, x5, k0: int, k1: int, record=None):
@@ -172,24 +168,24 @@ def _cascade_rk4(n: int, dt: float, fv, fm, x3, x4, x5, k0: int, k1: int, record
 def solve_cascade_batch(
     axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, x0
 ) -> np.ndarray:
-    """Cascade states for a batch of scalar Brownian paths.
+    """Cascade states for a batch of scalar Brownian paths from one start.
 
-    w has shape (P, steps+1); x0 is one vector in R^5 or a (P, 5) array.
-    Returns (P, steps+1, 5); non-finite values are left in place for the
-    caller to classify (see _first_bad_steps).
+    w has shape (P, steps+1); x0 is one vector in R^5. Returns
+    (P, steps+1, 5); non-finite values are left in place for the caller to
+    classify (see _first_bad_steps).
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (5,):
+        raise ValueError(f"initial value shape {x0.shape}, expected (5,)")
     P, K1 = w.shape
-    x0 = _expand_x0(x0, P, 5)
     out = np.empty((P, K1, 5))
-    x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, x0)
+    x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, x0[0], x0)
     out[:, :, 0] = x1
     out[:, :, 1] = x2
     out[:, :, 2] = x3
     k_start = _first_active_step(fv, fm)
-    out[:, : k_start + 1, 3:] = x0[:, None, 3:]
-    _cascade_rk4(
-        axis.params.n, grid.dt, fv, fm, x3, x0[:, 3], x0[:, 4], k_start, K1 - 1, out[:, :, 3:]
-    )
+    out[:, : k_start + 1, 3:] = x0[3:]
+    _cascade_rk4(axis.params.n, grid.dt, fv, fm, x3, x0[3], x0[4], k_start, K1 - 1, out[:, :, 3:])
     return out
 
 
@@ -199,26 +195,35 @@ def solve_cascade_observed(
     """Cascade states at step k_obs for S starts sharing the paths w.
 
     starts has shape (S, 5) and w shape (P, k+1) with k >= k_obs; returns
-    (S, P, 5). X1..X3 are computed once when all starts share their first
-    three coordinates, else once per start, and one RK4 runs over the
-    stacked (S, P) starts. With shared heads, start s gets the bits of
+    (S, P, 5). One RK4 window runs per clock, that is per distinct x1: the
+    starts that share x1 are stacked into it, with X2 and X3 computed once
+    when they also share their second and third coordinates, else once per
+    start. So start s gets the bits of
     solve_cascade_batch(..., starts[s])[:, k_obs], signed zeros and NaN
-    included. Since no stage makes a non-finite state finite, a state is
-    non-finite at k_obs exactly when it is non-finite at some step up to
-    k_obs.
+    included, whatever the other starts. Since no stage makes a non-finite
+    state finite, a state is non-finite at k_obs exactly when it is
+    non-finite at some step up to k_obs.
     """
     starts = np.asarray(starts, dtype=float)
     w = w[:, : k_obs + 1]
-    shared = np.all(starts[:, :3] == starts[0, :3])
-    heads = (starts[:1] if shared else starts)[:, None, :]
-    x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, heads)
-    k_start = _first_active_step(fv, fm)
-    shape = (len(starts), w.shape[0])
-    x4 = np.broadcast_to(starts[:, 3, None], shape)
-    x5 = np.broadcast_to(starts[:, 4, None], shape)
-    x4, x5 = _cascade_rk4(axis.params.n, grid.dt, fv, fm, x3, x4, x5, k_start, k_obs)
-    cols = np.broadcast_arrays(x1[..., -1], x2[..., -1], x3[..., -1], x4, x5)
-    return np.stack(cols, axis=-1)
+    out = None
+    clocks, which = np.unique(starts[:, 0], return_inverse=True)
+    for c, clock in enumerate(clocks):
+        rows = which == c
+        group = starts[rows]
+        shared = np.all(group[:, 1:3] == group[0, 1:3])
+        heads = (group[:1] if shared else group)[:, None, :]
+        x1, x2, x3, fv, fm = _cascade_forcing(axis, grid, w, clock, heads)
+        k_start = _first_active_step(fv, fm)
+        shape = (len(group), w.shape[0])
+        x4 = np.broadcast_to(group[:, 3, None], shape)
+        x5 = np.broadcast_to(group[:, 4, None], shape)
+        x4, x5 = _cascade_rk4(axis.params.n, grid.dt, fv, fm, x3, x4, x5, k_start, k_obs)
+        if out is None:  # after the first RK4, whose temporaries set the peak
+            out = np.empty((len(starts), w.shape[0], 5))
+        for j, col in enumerate((x1[-1], x2[..., -1], x3[..., -1], x4, x5)):
+            out[rows, :, j] = col
+    return out
 
 
 def solve_cascade_general(
@@ -243,7 +248,16 @@ def _em_steps(gm: GeneralModel, dt: float, w: np.ndarray, cur, taming: bool, rec
     shape (P, k+1, m), and return it; record[..., j, :], if given, receives
     the state after each step j in [1, k]. The tamed step scales the drift
     increment by 1/(1 + dt ||mu||) per path; with taming off this is the
-    plain scheme. Neither makes a non-finite state finite again."""
+    plain scheme. Neither makes a non-finite state finite again.
+
+    A lone path runs as two equal rows and keeps the first: for one row the
+    drift's matrix products would take numpy's matrix-vector route, which
+    rounds differently from a batch."""
+    keep = slice(None)
+    if w.shape[0] == 1:
+        keep = slice(None, 1)
+        w = np.broadcast_to(w, (2,) + w.shape[1:])
+        cur = np.broadcast_to(cur, cur.shape[:-2] + (2, cur.shape[-1]))
     sigmaT = gm.sigma.T  # (m, d)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(w.shape[1] - 1):
@@ -255,8 +269,8 @@ def _em_steps(gm: GeneralModel, dt: float, w: np.ndarray, cur, taming: bool, rec
                 step = mu * dt
             cur = cur + step + (w[:, k + 1] - w[:, k]) @ sigmaT
             if record is not None:
-                record[..., k + 1, :] = cur
-    return cur
+                record[..., k + 1, :] = cur[..., keep, :]
+    return cur[..., keep, :]
 
 
 def solve_em_batch(

@@ -204,6 +204,10 @@ def test_main_bad_model_parameter(capsys):
         # a prefix is not the flag: not --kappa 2 --eps-count 2
         ["lemma21", "--kap", "2", "--eps-c", "2"],
         ["variation-check", "--path", "3"],
+        # no uniform draw exists from a box of infinite width
+        ["verify-bounds", "--radius", "nan", "--trials", "10"],
+        ["verify-bounds", "--radius", "inf", "--trials", "10"],
+        ["verify-bounds", "--radius", "1e308", "--trials", "10"],
     ],
 )
 def test_main_bad_input_exits_2_with_json(capsys, argv):
@@ -423,6 +427,32 @@ def test_lemma21_p_leaves_model_p_alone(monkeypatch, capsys):
     assert seen["args"].lemma_p == 2.0
 
 
+@pytest.mark.parametrize(
+    "flags, c_finite", [(["--kappa", "1e-300"], False), (["--p", "1e300"], True)]
+)
+def test_lemma21_carries_an_overflow_through_as_inf(capsys, flags, c_finite):
+    # kappa^(-2/p) overflows at kappa = 1e-300, and kappa |z|^p inside the
+    # expectation at p = 1e300: both read inf, so the minorant is 0 and holds
+    code, out, err = run_main(["lemma21", "--eps-count", "2", *flags], capsys)
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["passed"] is True
+    for sub in report["params"].values():
+        assert math.isfinite(sub["c"]) is c_finite
+        assert sub["rhs"] == 0.0 < sub["lhs"]
+
+
+def test_transform_check_fails_on_a_non_finite_path(capsys):
+    # at n = 40 and dt = 1/8 the cascade reference of path 2 is non-finite
+    # from step 8, so the distances are nan: the check fails, exit 1
+    argv = ["transform-check", "--paths", "4", "--n", "40", "--dt", "0.125"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert math.isnan(report["params"]["max_distance"]) and math.isnan(report["max_violation"])
+
+
 def test_verify_bounds_passes(capsys):
     code, out, err = run_main(["verify-bounds", "--trials", "2000", "--seed", "7"], capsys)
     assert code == 0
@@ -471,29 +501,46 @@ def test_stdnorm_check_loads_no_scipy_stats():
 def test_simulate_replays_sweep_paths(tmp_path, capsys):
     # simulate --path-index k from v (--x0-eps 0) and from v + eps delta
     # rides the sweep's path k: the distance of its two states at t is the
-    # sweep's distances[k]. The sweep measures in cascade coordinates and
-    # simulate in R^d, so the two agree to rounding.
+    # sweep's distances[k]. The cascade sweep measures in cascade coordinates
+    # and simulate in R^d, so the two agree to rounding; the Euler route runs
+    # in R^d on both sides, so at a general v and delta it is bit for bit.
     config = cli.ExperimentConfig()
     epsilons = config.epsilons()
-    sweep = montecarlo.sweep_epsilon(
-        cli._build_general(config), config.t_eval, epsilons, 64, config.seed,
-        steps=config.steps(),
-    )
     k_obs = paths.TimeGrid(T=config.T, steps=config.steps()).nearest_index(config.t_eval)
 
-    def state_at_t(k, eps):
-        argv = ["simulate", "--path-index", str(k), "--x0-eps", repr(float(eps))]
+    def sweep(**kw):
+        cfg = cli.ExperimentConfig(**kw)
+        return montecarlo.sweep_epsilon(
+            cli._build_general(cfg), cfg.t_eval, epsilons, 64, cfg.seed,
+            steps=cfg.steps(), solver=cfg.solver,
+        )
+
+    v = [0.4, -0.3, 0.2, 0.1, -0.5, 0.3, 0.6]
+    delta = [0.7, 0.2, -0.4, 0.3, 0.1, -0.2, 0.5]
+    cascade = sweep()
+    em = sweep(d=7, v=v, delta=delta, solver="em")
+    em_flags = ["--solver", "em", "--d", "7", "--v", ",".join(map(repr, v)),
+                "--delta", ",".join(map(repr, delta))]
+
+    def state_at_t(k, eps, flags):
+        argv = ["simulate", "--path-index", str(k), "--x0-eps", repr(float(eps)), *flags]
         code, out, err = run_main(argv + ["--seed", str(config.seed), "--output", str(tmp_path)], capsys)
         assert code == 0, err  # path k stays finite on [0, T]
         rows = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
-        assert rows[k_obs, 0] == sweep.estimates[0].t
+        assert rows[k_obs, 0] == cascade.estimates[0].t == em.estimates[0].t
         return rows[k_obs, 1:]
 
     for k in (0, 6, 8):
-        ref = state_at_t(k, 0.0)
-        for i in (0, len(epsilons) - 1):
-            dist = np.linalg.norm(state_at_t(k, epsilons[i]) - ref)
-            assert dist == pytest.approx(sweep.estimates[i].distances[k], rel=1e-12), (k, i)
+        for result, flags in ((cascade, []), (em, em_flags)):
+            ref = state_at_t(k, 0.0, flags)
+            for i in (0, len(epsilons) - 1):
+                # as the sweep measures it: reference minus perturbed, norm on the last axis
+                dist = np.linalg.norm(ref - state_at_t(k, epsilons[i], flags), axis=-1)
+                expected = result.estimates[i].distances[k]
+                if result is em:
+                    assert dist == expected, (k, i)
+                else:
+                    assert dist == pytest.approx(expected, rel=1e-12), (k, i)
 
 
 def test_simulate_writes_files(tmp_path, capsys):

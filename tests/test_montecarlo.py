@@ -62,6 +62,21 @@ def test_estimate_is_chunk_size_invariant(general, monkeypatch, solver):
     assert a.mean == b.mean
     assert np.array_equal(a.distances, b.distances, equal_nan=True)
 
+    # a general B at d = 7, down to one-path chunks (40 = 3 * 13 + 1 leaves one
+    # in the 13-path run too)
+    rng = np.random.default_rng(41)
+    prm = ModelParams(d=7, v=rng.uniform(-1, 1, 7), delta=rng.uniform(-1, 1, 7))
+    gm = build_general(build_axis_aligned(prm))
+    y = prm.v + 0.05 * prm.delta
+    runs = []
+    for chunk in (1024, 13, 1):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        runs.append(estimate_distance(gm, prm.v, y, 0.9, 40, 11, steps=256, solver=solver))
+    assert np.all(np.isfinite(runs[0].distances))
+    for run in runs[1:]:
+        assert run.mean == runs[0].mean
+        assert np.array_equal(run.distances, runs[0].distances)
+
 
 @pytest.mark.parametrize("solver", ["cascade", "em"])
 def test_sweep_rows_are_the_single_pair_estimates(general, solver):

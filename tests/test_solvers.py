@@ -85,26 +85,21 @@ def test_pair_zero_start_stays_zero(axis):
 
 
 def test_cascade_batch_matches_single(axis):
+    # the rows of a one-start batch are the one-path solves, bit for bit
     grid = TimeGrid(T=1.0, steps=128)
     w = _paths(grid, 5, 4)
-    # varied starts: every row goes through the general (per-path bump) branch
-    x0 = np.array([[0.01 * i, 0.1, 0.0, 0.05, 0.0] for i in range(4)])
+    x0 = np.array([0.03, 0.1, 0.0, 0.05, 0.0])
     batch = solve_cascade_batch(axis, grid, w, x0)
     for i in range(4):
-        single = solve_cascade_batch(axis, grid, w[i : i + 1], x0[i])
-        assert np.array_equal(batch[i : i + 1], single)
+        single = solve_cascade_batch(axis, grid, w[i : i + 1], x0)
+        assert np.array_equal(batch[i : i + 1].view(np.int64), single.view(np.int64))
 
 
-def test_cascade_shared_start_branch_consistency(axis):
-    grid = TimeGrid(T=1.0, steps=128)
-    w = _paths(grid, 6, 3)
-    x0_shared = np.tile([0.0, 0.0, 0.0, 0.05, 0.0], (3, 1))
-    shared = solve_cascade_batch(axis, grid, w, x0_shared)
-    # same rows through the varied branch: nudge one start then restore
-    x0_varied = x0_shared.copy()
-    x0_varied[0, 0] = 1e-9
-    varied = solve_cascade_batch(axis, grid, w, x0_varied)
-    assert np.allclose(shared[1:], varied[1:], rtol=0.0, atol=0.0)
+def test_cascade_batch_takes_one_start(axis):
+    grid = TimeGrid(T=1.0, steps=16)
+    w = _paths(grid, 5, 3)
+    with pytest.raises(ValueError, match="expected \\(5,\\)"):
+        solve_cascade_batch(axis, grid, w, np.zeros((3, 5)))
 
 
 # Shared heads: x4 = 1e155 squares to inf before f acts; both solvers hold
@@ -112,15 +107,18 @@ def test_cascade_shared_start_branch_consistency(axis):
 # and x4 = -0.0 keeps its sign. Mixed heads: x3 = 10 blows up
 # between steps 372 and about 390 on these paths, across k_obs = 375, and
 # x3 = 1e60 within a few steps of tau; the last start has its own x1, so its
-# bump factors differ from the others'.
+# bump factors differ from the others'. Mixed clocks, observed at k_obs =
+# 240 before f acts: a start with x1 = 0.05 sees f act earlier, and an RK4
+# window shared with it would turn 1e155 into nan and -0.0 into +0.0.
 _SHARED_HEADS = [[0, 0, 0, 0, 0], [0, 0, 0, 0.05, 0], [0, 0, 0, 1e155, 0], [0, 0, 0, -0.0, 0.3]]
 _MIXED_HEADS = [[0, 0, 0, 0, 0], [0, 0, 10, 0.05, 0], [0, 0, 1e60, 0.05, 0], [0.05, 0.1, 0.3, 0.2, -0.1]]
+_MIXED_CLOCKS = [[0.05, 0.1, 0.3, 0.2, -0.1], [0, 0, 0, 1e155, 0], [0, 0, 0, -0.0, -0.3]]
 
 
-@pytest.mark.parametrize("starts", [_SHARED_HEADS, _MIXED_HEADS])
+@pytest.mark.parametrize("starts", [_SHARED_HEADS, _MIXED_HEADS, _MIXED_CLOCKS])
 def test_observed_cascade_is_the_batch_solve_at_k_obs(axis, starts):
     grid = TimeGrid(T=1.0, steps=512)
-    k_obs = 375
+    k_obs = 240 if starts is _MIXED_CLOCKS else 375
     w = brownian_values_batch(grid, 1, 4, 0, 40)[:, :, 0]
     obs = solve_cascade_observed(axis, grid, w, np.array(starts, dtype=float), k_obs)
     assert obs.shape == (len(starts), 40, 5)
@@ -129,16 +127,15 @@ def test_observed_cascade_is_the_batch_solve_at_k_obs(axis, starts):
         full = solve_cascade_batch(axis, grid, w, start)[:, : k_obs + 1]
         bad = _first_bad_steps(full) >= 0
         assert np.array_equal(~np.all(np.isfinite(o), axis=-1), bad)
-        if starts is _SHARED_HEADS:  # one RK4 window: the same bits, zeros and nan alike
-            assert np.array_equal(o, full[:, -1], equal_nan=True)
-            assert np.array_equal(np.signbit(o), np.signbit(full[:, -1]))
-            # and no state turns non-finite before f acts, after tau
-            assert np.all(_first_bad_steps(full)[bad] > grid.nearest_index(axis.params.tau))
-        else:  # the stacked window may start earlier; == ignores the sign of a zero
-            assert np.array_equal(o[~bad], full[~bad, -1])
+        # one RK4 window per clock: the bits of a lone solve, zeros and nan alike
+        assert np.array_equal(o.view(np.int64), full[:, -1].view(np.int64))
+        # and no state turns non-finite before f acts, after tau
+        assert np.all(_first_bad_steps(full)[bad] > grid.nearest_index(axis.params.tau))
         flags.append(bad)
     if starts is _MIXED_HEADS:
         assert 0 < flags[1].sum() < 40 and flags[2].all()
+    if starts is _MIXED_CLOCKS:
+        assert np.all(obs[1, :, 3] == 1e155) and np.all(np.signbit(obs[2, :, 3]))
 
 
 def test_cascade_explosion_detected(axis):
@@ -177,10 +174,9 @@ def test_em_batch_matches_single(general):
 
 @pytest.mark.parametrize("taming", [True, False])
 def test_em_one_path_solve_agrees_with_its_batch_row(taming):
-    # with a general B a one-row drift product takes numpy's matrix-vector
-    # route and may round differently from a batch; the bound (1e-10 of each
-    # coordinate's size, at least 1) was fixed before measuring, and these
-    # paths differ by at most 2.4e-14 on that scale
+    # with a general B a one-row drift product would take numpy's
+    # matrix-vector route; the solver runs a lone path as two rows, so it
+    # gets the bits of its batch row
     rng = np.random.default_rng(14)
     d = 7
     prm = ModelParams(d=d, v=rng.uniform(-1, 1, d), delta=rng.uniform(-1, 1, d))
@@ -193,7 +189,7 @@ def test_em_one_path_solve_agrees_with_its_batch_row(taming):
         [solve_em_batch(gm, grid, w[i : i + 1], x0, taming=taming) for i in range(4)]
     )
     assert np.all(np.isfinite(batch))
-    assert np.all(np.abs(single - batch) <= 1e-10 * np.maximum(1.0, np.abs(batch)))
+    assert np.array_equal(single, batch)
 
 
 def test_em_commutes_with_affine_conjugation(axis):
