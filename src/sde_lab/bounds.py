@@ -24,6 +24,7 @@ from .reports import CheckReport
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TINY_LOG = math.log(5e-324)  # smallest subnormal; floor for log of solver output
 _VARIANCE_NODES = 400  # per direction in stdnorm_variance's coarser pass
+_VARIANCE_ROWS = 64  # outer nodes per block of stdnorm_variance's tensor grid
 
 
 class DomainError(ValueError):
@@ -183,7 +184,9 @@ def stdnorm_variance(g: BumpFunction, tau: float) -> float:
 
     Evaluates 2 int g'(s) [int_a^s g'(u) u du] ds over the support with
     _VARIANCE_NODES Gauss-Legendre nodes in both directions, doubling the
-    resolution once to certify convergence.
+    resolution once to certify convergence. The inner integrals are formed
+    _VARIANCE_ROWS outer nodes at a time, so memory is one block of the
+    tensor grid, not the whole grid.
     """
     if g.a < -1e-12 or g.b > tau + 1e-12:
         raise DomainError(f"bump support ({g.a}, {g.b}) not inside [0, {tau}]")
@@ -195,8 +198,12 @@ def stdnorm_variance(g: BumpFunction, tau: float) -> float:
         ws = half * w
         # inner integral over u in [a, s] for every outer node, same rule
         hs = 0.5 * (s - g.a)
-        u = g.a + hs[:, None] * (x[None, :] + 1.0)
-        inner = hs * np.sum(w[None, :] * bumps.eval(g, u, 1) * u, axis=1)
+        x1 = x + 1.0
+        inner = np.empty(n)
+        for lo in range(0, n, _VARIANCE_ROWS):
+            rows = slice(lo, lo + _VARIANCE_ROWS)
+            u = g.a + hs[rows, None] * x1[None, :]
+            inner[rows] = hs[rows] * np.sum(w[None, :] * bumps.eval(g, u, 1) * u, axis=1)
         return 2.0 * np.sum(ws * bumps.eval(g, s, 1) * inner)
 
     v1 = value(_VARIANCE_NODES)

@@ -22,9 +22,19 @@ from . import bumps
 from .bumps import BumpFunction
 from .reports import CheckReport, merge_reports
 
+# trials per row block of the sampled checks' evaluation: the draws are held
+# whole, a block's Jacobians and temporaries one block at a time
+_BLOCK = 4096
+
 
 class InvalidDirectionError(ValueError):
-    """Perturbation direction delta must be nonzero."""
+    """Perturbation direction delta must be nonzero, with a finite norm."""
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm, inf where its square overflows (without a warning)."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -73,7 +83,7 @@ class ModelParams:
             delta = np.asarray(self.delta, dtype=float)
         if v.shape != (self.d,) or delta.shape != (self.d,):
             raise ValueError("v and delta must be vectors of length d")
-        if not np.linalg.norm(delta) > 0.0:
+        if not _norm(delta) > 0.0:
             raise InvalidDirectionError("delta must be nonzero")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "v", _readonly(v))
@@ -222,19 +232,26 @@ def householder_to(target: np.ndarray) -> np.ndarray:
 
 
 def build_general(model: AxisAlignedModel) -> GeneralModel:
-    """Conjugate the embedded model by B = ||delta|| A and the shift v."""
+    """Conjugate the embedded model by B = ||delta|| A and the shift v.
+
+    Raises ValueError unless the norms of delta and v are finite and that of
+    delta is nonzero: an overflowing norm leaves B or kappa non-finite."""
     params = model.params
     delta = params.delta
-    dnorm = float(np.linalg.norm(delta))
+    dnorm = _norm(delta)
     if not dnorm > 0.0:
         raise InvalidDirectionError("delta must be nonzero")
+    if not np.isfinite(dnorm):
+        raise InvalidDirectionError(f"delta must have a finite norm, got {dnorm}")
+    vnorm = _norm(params.v)
+    if not np.isfinite(vnorm):
+        raise ValueError(f"v must have a finite norm, got {vnorm}")
     A = householder_to(delta / dnorm)
     B = dnorm * A
     Binv = A.T / dnorm  # A orthogonal => B^{-1} = A^T / ||delta||
     sigma = np.zeros((params.d, params.m))
     sigma[:, 0] = B[:, 1]  # the cascade's noise enters the second coordinate only
     vk = model.varkappa
-    vnorm = float(np.linalg.norm(params.v))
     # kappa = 2 vk (1 + 2^vk max(1, ||v||^vk) / ||delta||), assembled in logs
     log_max_term = max(0.0, vk * np.log(vnorm)) if vnorm > 0.0 else 0.0
     s = vk * np.log(2.0) + log_max_term - np.log(dnorm)
@@ -288,9 +305,35 @@ def _box(rng: np.random.Generator, count: int, dim: int, radius: float):
 
 
 def _sphere(rng: np.random.Generator, count: int, dim: int, radius: float):
+    """count points drawn uniformly from the sphere of the given radius,
+    normalized in place one row block at a time."""
     z = rng.standard_normal((count, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return radius * z
+    for rows in _blocks(count):
+        z[rows] /= np.linalg.norm(z[rows], axis=1, keepdims=True)
+    z *= radius
+    return z
+
+
+def _blocks(count: int):
+    """Row slices of _BLOCK rows that cover range(count), the last one
+    shorter. A one-row tail joins the block before it: numpy multiplies a
+    lone row by a matrix on its matrix-vector route, whose bits can differ
+    from a batch row's."""
+    start = 0
+    while start < count:
+        stop = min(start + _BLOCK, count)
+        if count - stop == 1:
+            stop = count
+        yield slice(start, stop)
+        start = stop
+
+
+def _blockwise(stat, *draws):
+    """stat(*rows of draws) on each row block of the draws, each of its
+    outputs gathered into one full-length array. A trial's statistic depends
+    on its own draws alone, so it has the same bits in any block."""
+    parts = [stat(*(a[rows] for a in draws)) for rows in _blocks(len(draws[0]))]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def log_growth_rhs(log_kappa: float, lognorm_x: np.ndarray) -> np.ndarray:
@@ -313,17 +356,22 @@ def verify_jacobian_growth(
 
     Axis-aligned: ||nu'(x)h|| <= 4 n C (1 + ||x||^n) ||h|| with the ratio as
     the violation scale. General: the same statement conjugated, against the
-    (astronomically large) kappa envelope, compared in log space.
+    (astronomically large) kappa envelope, compared in log space; a NaN
+    left-hand side fails. The draws x and h are held whole (2 d 8 bytes per
+    trial), the Jacobians one row block of _BLOCK trials at a time.
     """
     rng = np.random.default_rng(seed)
     if isinstance(model, AxisAlignedModel):
         n = model.params.n
         x = _box(rng, trials, 5, box_radius)
         h = _sphere(rng, trials, 5, 1.0)
-        jac = eval_nu_jacobian(model, x)
-        lhs = np.linalg.norm(np.einsum("pij,pj->pi", jac, h), axis=1)
-        rhs = 4.0 * n * model.C * (1.0 + np.linalg.norm(x, axis=1) ** n)
-        ratio = lhs / rhs
+
+        def ratio_of(x, h):
+            lhs = np.linalg.norm(np.einsum("pij,pj->pi", eval_nu_jacobian(model, x), h), axis=1)
+            rhs = 4.0 * n * model.C * (1.0 + np.linalg.norm(x, axis=1) ** n)
+            return (lhs / rhs,)
+
+        (ratio,) = _blockwise(ratio_of, x, h)
         worst = int(np.argmax(ratio))
         max_violation = float(ratio[worst] - 1.0)
         params = {
@@ -343,13 +391,16 @@ def verify_jacobian_growth(
     d = gm.params.d
     x = _box(rng, trials, d, box_radius)
     h = _sphere(rng, trials, d, 1.0)
-    jac = eval_mu_jacobian(gm, x)
-    lhs = np.linalg.norm(np.einsum("pij,pj->pi", jac, h), axis=1)
-    with np.errstate(divide="ignore"):
-        log_lhs = np.log(lhs)  # -inf where lhs = 0, which trivially passes
-        log_rhs = log_growth_rhs(gm.log_kappa, np.log(np.linalg.norm(x, axis=1)))
-    excess = log_lhs - log_rhs
-    excess = np.where(np.isnan(excess), -np.inf, excess)  # -inf - inf: lhs=0, passes
+
+    def excess_of(x, h):
+        lhs = np.linalg.norm(np.einsum("pij,pj->pi", eval_mu_jacobian(gm, x), h), axis=1)
+        with np.errstate(divide="ignore"):
+            log_lhs = np.log(lhs)
+            log_rhs = log_growth_rhs(gm.log_kappa, np.log(np.linalg.norm(x, axis=1)))
+        # lhs = 0 passes trivially, whatever the envelope; a NaN stays NaN
+        return (np.where(lhs == 0.0, -np.inf, log_lhs - log_rhs),)
+
+    (excess,) = _blockwise(excess_of, x, h)
     worst = int(np.argmax(excess))
     max_violation = float(excess[worst])
     params = {
@@ -371,7 +422,9 @@ def verify_lyapunov(
 
     Axis-aligned: V'(x) nu(x + rho z) <= (2p + (2p+q) c)(1+|z|) V(x) with
     c = max(sup|f|, sup|g'|) and the (p, q) of the params. General:
-    V'(x) mu(x + sigma z) <= kappa (1+||z||) V(x) in log space.
+    V'(x) mu(x + sigma z) <= kappa (1+||z||) V(x) in log space; a NaN
+    left-hand side fails. The draws x and z are held whole ((d + m) 8 bytes
+    per trial), the drift and V one row block of _BLOCK trials at a time.
     """
     rng = np.random.default_rng(seed)
     if isinstance(model, AxisAlignedModel):
@@ -379,12 +432,15 @@ def verify_lyapunov(
         c = max(bumps.sup_abs(model.f, 0), bumps.sup_abs(model.g, 1))
         x = _box(rng, trials, 5, box_radius)
         z = _sphere(rng, trials, 1, z_radius)[:, 0]
-        shifted = x + model.rho[None, :] * z[:, None]
-        lhs = np.sum(eval_U_grad(model, x, p, q) * eval_nu(model, shifted), axis=1)
-        V = eval_U(model, x, p, q)
-        rhs = (2.0 * p + (2.0 * p + q) * c) * (1.0 + np.abs(z)) * V
-        ratio = lhs / rhs
-        norm_ok = np.linalg.norm(x, axis=1) <= V
+
+        def ratio_of(x, z):
+            shifted = x + model.rho[None, :] * z[:, None]
+            lhs = np.sum(eval_U_grad(model, x, p, q) * eval_nu(model, shifted), axis=1)
+            V = eval_U(model, x, p, q)
+            rhs = (2.0 * p + (2.0 * p + q) * c) * (1.0 + np.abs(z)) * V
+            return lhs / rhs, np.linalg.norm(x, axis=1) <= V
+
+        ratio, norm_ok = _blockwise(ratio_of, x, z)
         worst = int(np.argmax(ratio))
         max_violation = float(ratio[worst] - 1.0)
         passed = max_violation <= 0.0 and bool(np.all(norm_ok))
@@ -407,14 +463,17 @@ def verify_lyapunov(
     d, m = gm.params.d, gm.params.m
     x = _box(rng, trials, d, box_radius)
     z = _sphere(rng, trials, m, z_radius)
-    shifted = x + z @ gm.sigma.T
-    lhs = eval_general_V_directional(gm, x, eval_mu(gm, shifted))
-    V = eval_general_V(gm, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lhs = np.where(lhs > 0.0, np.log(np.maximum(lhs, 1e-300)), -np.inf)
-        log_rhs = gm.log_kappa + np.log1p(np.linalg.norm(z, axis=1)) + np.log(V)
-    excess = log_lhs - log_rhs
-    norm_ok = np.linalg.norm(x, axis=1) <= V
+
+    def excess_of(x, z):
+        lhs = eval_general_V_directional(gm, x, eval_mu(gm, x + z @ gm.sigma.T))
+        V = eval_general_V(gm, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # lhs <= 0 passes trivially; a NaN stays NaN
+            log_lhs = np.where(lhs <= 0.0, -np.inf, np.log(np.maximum(lhs, 1e-300)))
+            log_rhs = gm.log_kappa + np.log1p(np.linalg.norm(z, axis=1)) + np.log(V)
+        return log_lhs - log_rhs, np.linalg.norm(x, axis=1) <= V
+
+    excess, norm_ok = _blockwise(excess_of, x, z)
     worst = int(np.argmax(excess))
     max_violation = float(excess[worst])
     passed = max_violation <= 0.0 and bool(np.all(norm_ok))

@@ -152,6 +152,20 @@ def test_stdnorm_variance_equals_l2_norm():
     assert stdnorm_variance(odd, 0.5) == pytest.approx(mass, rel=1e-7)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 64, 333, 800])
+def test_stdnorm_variance_bits_do_not_depend_on_the_row_block(monkeypatch, g_bump, rows):
+    # each outer node's inner sum is its own row's pairwise sum: the bits of
+    # one block of the whole 800 x 800 and 1600 x 1600 grids, short tails too
+    from sde_lab import bounds
+
+    narrow = make_normalized_bump(0.1, 0.4)
+    monkeypatch.setattr(bounds, "_VARIANCE_ROWS", 1600)
+    whole = [stdnorm_variance(g, 0.5) for g in (g_bump, narrow)]
+    monkeypatch.setattr(bounds, "_VARIANCE_ROWS", rows)
+    assert [stdnorm_variance(g, 0.5) for g in (g_bump, narrow)] == whole
+    assert whole[0].hex() == "0x1.ffffffffffd9ep-1"
+
+
 def test_stdnorm_variance_domain(f_bump):
     with pytest.raises(DomainError, match="not inside"):
         stdnorm_variance(f_bump, 0.5)  # support is (0.5, 1)

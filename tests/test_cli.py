@@ -217,6 +217,22 @@ def test_main_bad_input_exits_2_with_json(capsys, argv):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-bounds", "--trials", "10"],
+        ["transform-check", "--paths", "2"],
+        ["simulate"],
+    ],
+)
+@pytest.mark.parametrize("key", ["v", "delta"])
+def test_vectors_whose_norm_overflows_exit_2_naming_the_key(capsys, argv, key):
+    # the norm of (0, 0, 0, 1e200, 0) is inf: B or kappa would not be finite
+    code, out, err = run_main(argv + [f"--{key}", "0,0,0,1e200,0"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"{key} must have a finite norm, got inf"}
+
+
 def test_no_parser_accepts_abbreviated_flags():
     parser = cli._build_parser()
     assert not parser.allow_abbrev

@@ -1,5 +1,7 @@
 """Drift evaluation, Jacobians, Lyapunov functions, affine conjugation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,81 @@ def test_general_model_params_passthrough(general):
     assert isinstance(general, GeneralModel)
     assert general.params is general.base.params
     assert np.isfinite(general.log_kappa)
+
+
+_V7 = dict(d=7, v=[0.4, -0.3, 0.2, 0.1, -0.5, 0.3, 0.6], delta=[0.7, 0.2, -0.4, 0.3, 0.1, -0.2, 0.5])
+_M2 = dict(d=6, m=2, v=[0.3, -0.2, 0.5, 0.1, -0.4, 0.2], delta=[-0.6, 0.4, 0.1, 0.8, -0.3, 0.2])
+
+
+@pytest.mark.parametrize("kw", [{}, _V7, _M2], ids=["d5", "d7", "d6-m2"])
+def test_sampled_checks_are_block_size_invariant(monkeypatch, kw):
+    # every report byte is that of one block of all trials, counterexamples
+    # included (at radius 1e70 both Lyapunov checks meet NaN and fail); 11,
+    # 13 and 4097 leave a one-row tail for some block size
+    gm = build_general(build_axis_aligned(ModelParams(**kw)))
+
+    def report(block, trials, radius):
+        monkeypatch.setattr(model, "_BLOCK", block)
+        with np.errstate(all="ignore"):
+            return verify_model_bounds(gm, trials, radius, 5.0, seed=trials).to_json()
+
+    for trials in (2, 3, 11, 13):
+        for radius in (5.0, 1e70):
+            whole = report(trials, trials, radius)
+            assert all(report(block, trials, radius) == whole for block in (2, 3, 5, 4096))
+    assert report(4096, 4097, 5.0) == report(4097, 4097, 5.0)
+    assert report(model._BLOCK, 1, 5.0) == report(1, 1, 5.0)
+
+
+def test_block_row_slices_never_leave_a_lone_row(monkeypatch):
+    monkeypatch.setattr(model, "_BLOCK", 3)
+    sizes = {n: [s.stop - s.start for s in model._blocks(n)] for n in range(1, 12)}
+    assert sizes[1] == [1] and sizes[4] == [4] and sizes[7] == [3, 4] and sizes[9] == [3, 3, 3]
+    for n, blocks in sizes.items():
+        assert sum(blocks) == n and (n == 1 or min(blocks) >= 2) and max(blocks) <= 4
+
+
+def test_mu_jacobian_two_row_slices_are_the_batch_rows():
+    # the blocks of the sampled checks hold two rows or more: a lone row may
+    # take numpy's matrix-vector route, with other bits
+    gm = build_general(build_axis_aligned(ModelParams(**_V7)))
+    x = np.random.default_rng(7).uniform(-5.0, 5.0, (586, 7))
+    batch = eval_mu_jacobian(gm, x)
+    for start in (0, 1):
+        for i in range(start, 585, 2):
+            assert np.array_equal(eval_mu_jacobian(gm, x[i:i + 2]), batch[i:i + 2])
+
+
+def test_sampled_general_checks_fail_on_nan():
+    # at radius 1e100 every left-hand side is NaN (inf * 0 in the drift):
+    # nothing was shown to hold, so neither check passes
+    gm = build_general(build_axis_aligned(ModelParams()))
+    with np.errstate(all="ignore"):
+        reps = [verify_lyapunov(gm, 200, 1e100, 5.0, seed=3),
+                verify_jacobian_growth(gm, 200, 1e100, seed=3)]
+    for rep in reps:
+        assert not rep.passed and np.isnan(rep.max_violation)
+        assert "counterexample" in rep.params
+
+
+def test_verify_model_bounds_memory_is_the_draws_plus_one_block():
+    # the bound is fixed before measuring: the draws x and h of the widest
+    # check, 2 * trials * d doubles, plus room for eight (_BLOCK, d, d)
+    # Jacobian stacks, which does not grow with trials
+    gm = build_general(build_axis_aligned(ModelParams()))
+    trials, d = 40_000, gm.params.d
+    bound = 2 * trials * d * 8 + 8 * model._BLOCK * d * d * 8
+    tracemalloc.start()
+    try:
+        assert verify_model_bounds(gm, trials, 5.0, 5.0, seed=0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_build_general_rejects_non_finite_norms():
+    with pytest.raises(InvalidDirectionError, match="delta must have a finite norm"):
+        build_general(build_axis_aligned(ModelParams(delta=[0.0, 0.0, 0.0, 1e200, 0.0])))
+    with pytest.raises(ValueError, match="v must have a finite norm"):
+        build_general(build_axis_aligned(ModelParams(v=[0.0, 0.0, 0.0, 1e200, 0.0])))
