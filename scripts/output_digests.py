@@ -4,7 +4,8 @@ Runs a fixed list of small ``sde-lab`` configs, covering every subcommand
 and both solvers (among them a one-start cascade ``simulate`` and Euler
 sweeps with a general v and delta at d = 7, tamed and untamed, with two
 threads, and at d = 9 with m = 2, and a d = 7 ``verify-bounds`` whose
-trials end in a one-row tail of the sampled checks' row blocks) and
+trials end in a one-row tail of the sampled checks' row blocks, and
+``stdnorm-check`` at a tau past T/2 and with a one-path tail) and
 models other than the default (the gentle n = 2 model on width-1 supports,
 and narrow supports at tau = 0.2, T = 0.6), so the bump normalizations and
 kappa_t in ``sweep_summary.json`` are compared too. Each runs
@@ -69,6 +70,10 @@ CONFIGS = {
     # two full blocks of the sampled checks and a one-row tail
     "verify-bounds-d7": ["verify-bounds", "--trials", "8193", *_V7],
     "stdnorm-check-gentle": ["stdnorm-check", "--check-paths", "2000", *_GENTLE],
+    # X3(tau) past T/2 reads the sines of the Box-Muller pairs
+    "stdnorm-check-late-tau": ["stdnorm-check", "--check-paths", "2000", "--tau", "0.8"],
+    # one block of stdnorm-check's paths and a one-path tail
+    "stdnorm-check-tail": ["stdnorm-check", "--check-paths", "4097"],
     "sweep-cascade-gentle": ["sweep", "--n-paths", "600", "--t-eval", "1.8", *_GENTLE],
     "sweep-cascade-narrow": ["sweep", "--n-paths", "600", "--t-eval", "0.5", *_NARROW],
 }

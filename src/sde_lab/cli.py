@@ -194,9 +194,18 @@ def _build_general(config: ExperimentConfig) -> model_mod.GeneralModel:
 
 def cmd_verify_bounds(config: ExperimentConfig, args) -> int:
     gm = _build_general(config)
-    report = model_mod.verify_model_bounds(
-        gm, args.trials, args.radius, args.z_radius, seed=config.seed
-    )
+    # a term that overflows leaves inf or NaN where a verdict should be: the
+    # radius is past the range in which float64 can evaluate the checks
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            report = model_mod.verify_model_bounds(
+                gm, args.trials, args.radius, args.z_radius, seed=config.seed
+            )
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"radius {args.radius} (z-radius {args.z_radius}) is past the float64 range "
+            f"of the sampled checks on this model: {exc}"
+        ) from exc
     return _emit(report)
 
 

@@ -314,14 +314,15 @@ def _sphere(rng: np.random.Generator, count: int, dim: int, radius: float):
     return z
 
 
-def _blocks(count: int):
-    """Row slices of _BLOCK rows that cover range(count), the last one
-    shorter. A one-row tail joins the block before it: numpy multiplies a
-    lone row by a matrix on its matrix-vector route, whose bits can differ
-    from a batch row's."""
+def _blocks(count: int, size: int | None = None):
+    """Row slices of size (default _BLOCK) rows that cover range(count), the
+    last one shorter. A one-row tail joins the block before it: numpy
+    multiplies a lone row by a matrix on its matrix-vector route, whose bits
+    can differ from a batch row's."""
+    size = _BLOCK if size is None else size
     start = 0
     while start < count:
-        stop = min(start + _BLOCK, count)
+        stop = min(start + size, count)
         if count - stop == 1:
             stop = count
         yield slice(start, stop)

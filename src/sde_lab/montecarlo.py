@@ -27,21 +27,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod, bumps
-from .model import AxisAlignedModel, GeneralModel
-from .paths import TimeGrid, brownian_values_batch, normals_for_seeds, path_seed
+from .model import AxisAlignedModel, GeneralModel, _blocks
+from .paths import TimeGrid, _box_muller, _counter_table, brownian_values_batch, path_seed
 from .reports import CheckReport
-from .solvers import _em_steps, _x3_trapezoid, solve_cascade_observed
+from .solvers import _em_steps, solve_cascade_observed
 
 _CHUNK = 1024  # performance knob only; results are chunk-size independent
-# stdnorm-check draws its paths in blocks of about this many path steps, also
-# a performance knob only. Every block reuses one time-major workspace of
-# (k_tau + 1) x paths words, and the trapezoid's sum over it is one vector add
-# per step across the block's paths, so wider blocks spread numpy's per-call
-# cost over more paths; narrower ones keep the draw's arrays (40 KiB a path at
-# the default grid) in L2. On a 2-core Xeon (2 MiB L2 a core), stdnorm-check at
-# 10^5 paths took a median 6.7 s with 2^15 (32 paths), 6.8 s with 2^16 and
-# 7.3 s with 2^14 path steps (4 pinned fresh-process runs each)
-_STDNORM_BLOCK_STEPS = 1 << 15
+# stdnorm-check streams its paths in blocks of this many paths through time
+# slabs of this many steps, performance knobs only. The buffers, about 2 MiB,
+# are allocated once per call and stay in L2, and numpy's per-call cost
+# spreads over thousands of paths. On a 2-core Xeon (2 MiB L2 a core), a
+# direct stdnormality_test at 10^5 paths took 3.8-3.9 s, against 5.7-6.2 s
+# with 32-path blocks of whole prefixes; blocks of 2048 or 8192 paths and
+# slabs of 4 or 16 steps were within 6 % (pinned runs)
+_STDNORM_BLOCK_PATHS = 4096
+_STDNORM_SLAB_STEPS = 8
 
 
 class EstimationFailedError(RuntimeError):
@@ -284,21 +284,60 @@ def sweep_epsilon(
     )
 
 
-def _x3_at_tau_chunk(grid, gp, k_tau, seed, lo, hi, out, workspace=None):
-    # trapezoidal X3(tau) = int_0^tau g'(s) W(s) ds from the origin; the
-    # cascade solver's own quadrature, so it matches the solver bit for bit.
-    # Only the first k_tau steps are drawn, with the full path's bits. W runs
-    # down the rows of a time-major block (the first (k_tau+1)(hi-lo) words of
-    # workspace, if given), so the trapezoid's sum adds one row per step.
-    n = hi - lo
-    size = (k_tau + 1) * n
-    workspace = np.empty(size) if workspace is None else workspace
-    w = workspace[:size].reshape(k_tau + 1, n)
-    inc = normals_for_seeds(path_seed(seed, range(lo, hi)), grid.steps, k_tau)
-    w[0] = 0.0
-    np.multiply(inc.T, np.sqrt(grid.dt), out=w[1:])
-    np.cumsum(w[1:], axis=0, out=w[1:])
-    _x3_trapezoid(gp[: k_tau + 1, None], w, grid.dt, 0.0, out[lo:hi], axis=0)
+def _x3_at_tau(grid: TimeGrid, gp: np.ndarray, k_tau: int, seed: int, lo: int, hi: int):
+    """X3(tau) = int_0^tau g'(s) W(s) ds from the origin for paths lo..hi-1.
+
+    The cascade solver's own trapezoid with the bits of its running sum, and
+    W with the bits of brownian_values_batch's cumsum over the full path's
+    first k_tau normals. Each block of paths is streamed through time slabs:
+    a slab's normals are drawn time-major, W advances by one vector add per
+    step across the block, and the trapezoid's row-by-row sum carries its
+    partial sum into the next slab. Both sums start from an exact zero where
+    the solver's start with their first addend, which can differ only in the
+    sign of a zero; the solver's final + X3(0) clears that sign as this start
+    does. Steps at or past npairs read the sines of pairs already drawn;
+    those pairs are drawn again, with the same bits, as the draw is
+    elementwise.
+    """
+    samples = np.zeros(hi - lo)
+    npairs = (grid.steps + 1) // 2
+    table = _counter_table(npairs, min(k_tau, npairs))[:, 0, :, None]  # (2, pairs, 1)
+    sqrt_dt, half_dt = np.sqrt(grid.dt), 0.5 * grid.dt
+    blocks = list(_blocks(hi - lo, _STDNORM_BLOCK_PATHS))
+    width = max((b.stop - b.start for b in blocks), default=0)
+    slab = _STDNORM_SLAB_STEPS
+    bits = np.empty((2, slab, width), dtype=np.uint64)
+    scratch = np.empty_like(bits)
+    w = np.empty((slab + 1, width))  # W at the slab's first step, then its steps
+    integrand = np.empty((slab + 1, width))
+    steps = np.empty((slab, width))
+    for rows in blocks:
+        n = rows.stop - rows.start
+        seeds = path_seed(seed, range(lo + rows.start, lo + rows.stop))
+        acc = samples[rows]
+        w[0, :n] = 0.0
+        k0 = 0
+        while k0 < k_tau:
+            # a slab ends at npairs, where the cosines give way to the sines
+            k1 = min(k0 + slab, k_tau, npairs if k0 < npairs else k_tau)
+            s = k1 - k0
+            inc, b, sc = w[1 : s + 1, :n], bits[:, :s, :n], scratch[:, :s, :n]
+            if k0 < npairs:
+                _box_muller(seeds, table[:, k0:k1], b, sc, cosines=inc)
+            else:
+                _box_muller(seeds, table[:, k0 - npairs : k1 - npairs], b, sc, sines=inc)
+            inc *= sqrt_dt
+            for i in range(1, s + 1):
+                w[i, :n] += w[i - 1, :n]
+            np.multiply(gp[k0 : k1 + 1, None], w[: s + 1, :n], out=integrand[: s + 1, :n])
+            part = steps[:s, :n]
+            np.add(integrand[:s, :n], integrand[1 : s + 1, :n], out=part)
+            part *= half_dt
+            for row in part:
+                acc += row
+            w[0, :n] = w[s, :n]
+            k0 = k1
+    return samples
 
 
 def _ks_statistic(x: np.ndarray) -> float:
@@ -333,12 +372,7 @@ def stdnormality_test(
     grid = TimeGrid(T=params.T, steps=_default_steps(params.T) if steps is None else steps)
     k_tau = grid.nearest_index(params.tau)
     gp = bumps.eval(model.g, grid.times, 1)
-    samples = np.empty(n_paths)
-    block = max(1, _STDNORM_BLOCK_STEPS // max(k_tau, 1))
-    workspace = np.empty((k_tau + 1) * min(block, n_paths))
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        _x3_at_tau_chunk(grid, gp, k_tau, master_seed, lo, hi, samples, workspace)
+    samples = _x3_at_tau(grid, gp, k_tau, master_seed, 0, n_paths)
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1))
     ks = _ks_statistic(samples)

@@ -108,6 +108,36 @@ def path_seed(master_seed: int, path_index: int | range) -> np.ndarray:
     return _mix64_array(key ^ (np.uint64(r.start & _MASK) + step))
 
 
+def _box_muller(seeds, table, bits, scratch, cosines=None, sines=None) -> None:
+    """The normals of the Box-Muller pairs whose counters table holds.
+
+    table is (counter * GOLD + GOLD) of the radii, then of the angles, on its
+    leading axis of 2 (as _counter_table builds it); seeds broadcast against
+    each half. bits and scratch are uint64 arrays of the broadcast shape and
+    are overwritten. cosines receives r cos(theta) of every pair, sines
+    r sin(theta) of the pairs in its leading columns (last axis). Elementwise
+    throughout, so a normal's bits do not depend on the layout it is drawn in.
+    """
+    np.add(seeds, table, out=bits)
+    _avalanche_inplace(bits, scratch)
+    bits >>= np.uint64(11)
+    words, u = bits.view(np.int64), scratch.view(np.float64)
+    r, theta = u
+    np.multiply(words[0], _TWO_M53, out=r)
+    r += 1.0 / _TWO53  # in (0, 1], log is safe
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    np.multiply(words[1], 2.0 * np.pi * _TWO_M53, out=theta)
+    if sines is not None:
+        m = sines.shape[-1]
+        np.sin(theta[..., :m], out=sines)
+        sines *= r[..., :m]
+    if cosines is not None:
+        np.cos(theta, out=cosines)
+        cosines *= r
+
+
 def normals_for_seeds(seeds: np.ndarray, count: int, keep: int | None = None) -> np.ndarray:
     """The first keep (default count) of count standard normals per seed.
 
@@ -127,26 +157,11 @@ def normals_for_seeds(seeds: np.ndarray, count: int, keep: int | None = None) ->
     seeds = np.asarray(seeds, dtype=np.uint64)
     npairs = (count + 1) // 2
     used = min(keep, npairs)  # every kept normal reads one of these pairs
-    bits = seeds[:, None] + _counter_table(npairs, used)  # radii, then angles
+    bits = np.empty((2, len(seeds), used), dtype=np.uint64)  # radii, then angles
     scratch = np.empty_like(bits)
-    _avalanche_inplace(bits, scratch)
-    bits >>= np.uint64(11)
-    words, u = bits.view(np.int64), scratch.view(np.float64)
-    r, theta = u
-    np.multiply(words[0], _TWO_M53, out=r)
-    r += 1.0 / _TWO53  # in (0, 1], log is safe
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    np.multiply(words[1], 2.0 * np.pi * _TWO_M53, out=theta)
     out = np.empty((len(seeds), keep))
-    if keep > npairs:
-        sines = out[:, npairs:]
-        np.sin(theta[:, : keep - npairs], out=sines)
-        sines *= r[:, : keep - npairs]
-    cosines = out[:, :used]
-    np.cos(theta, out=cosines)
-    cosines *= r
+    sines = out[:, npairs:] if keep > npairs else None
+    _box_muller(seeds[:, None], _counter_table(npairs, used), bits, scratch, out[:, :used], sines)
     return out
 
 

@@ -64,36 +64,21 @@ def _expand_x0(x0, n_paths: int, dim: int, starts: bool = False) -> np.ndarray:
     return x0
 
 
-def _x3_trapezoid(gp, x2, dt: float, x3_0, out: np.ndarray, axis: int = -1) -> None:
+def _x3_trapezoid(gp, x2, dt: float, x3_0, out: np.ndarray) -> None:
     """X3 = x3_0 + trapezoidal integral of g'(X1) X2 over time, into out.
 
-    gp and x2 broadcast to one shape with the k+1 time steps on axis. If out
-    has that shape, it receives X3 at every step: x3_0 (broadcast with a time
-    axis of length 1) plus the running sum of the steps. If out lacks the
-    time axis, it receives X3 at step k alone, summed in the same order, so
-    with the bits of the running sum's last step. Shared by the cascade
-    solvers (time last, every step) and the X3(tau) normality check (time
-    first, last step), which must agree bit for bit.
+    gp and x2 broadcast to out's shape, with the k+1 time steps on the last
+    axis; out receives x3_0 (broadcast with a time axis of length 1) plus the
+    running sum of the steps. montecarlo._x3_at_tau sums the same steps in
+    the same order for the X3(tau) normality check, which must agree with
+    the cascade solvers bit for bit.
     """
     integrand = gp * x2
-    axis %= integrand.ndim
-    head = (slice(None),) * axis
-    steps = 0.5 * dt * (integrand[head + (slice(None, -1),)] + integrand[head + (slice(1, None),)])
-    if out.ndim == integrand.ndim:
-        out[head + (slice(None, 1),)] = x3_0
-        rest = out[head + (slice(1, None),)]
-        np.cumsum(steps, axis=axis, out=rest)
-        rest += x3_0
-    else:
-        # numpy reduces the leading axis of a C-ordered (k, P) array row by
-        # row, in cumsum's order and one vector add per step; it sums a lone
-        # column pairwise instead, which rounds differently
-        rows = axis == 0 and steps.ndim == 2 and steps.shape[1] > 1 and steps.flags.c_contiguous
-        if rows or steps.shape[axis] == 0:
-            last = np.add.reduce(steps, axis=axis)
-        else:
-            last = np.cumsum(steps, axis=axis)[head + (-1,)]
-        np.add(last, x3_0, out=out)
+    steps = 0.5 * dt * (integrand[..., :-1] + integrand[..., 1:])
+    out[..., :1] = x3_0
+    rest = out[..., 1:]
+    np.cumsum(steps, axis=-1, out=rest)
+    rest += x3_0
 
 
 def _cascade_forcing(axis: AxisAlignedModel, grid: TimeGrid, w: np.ndarray, clock: float, x0):

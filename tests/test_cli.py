@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,31 @@ def test_verify_bounds_passes(capsys):
     code, out, err = run_main(["verify-bounds", "--trials", "2000", "--seed", "7"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+_V7_FLAGS = ["--d", "7", "--v", "0.4,-0.3,0.2,0.1,-0.5,0.3,0.6",
+             "--delta", "0.7,0.2,-0.4,0.3,0.1,-0.2,0.5"]
+
+
+@pytest.mark.parametrize("model", [[], _V7_FLAGS], ids=["d5", "d7"])
+def test_verify_bounds_past_the_float64_range_exits_2(capsys, model):
+    # past a radius of about 1e38, V's |x|^q (q = 8) overflows; at 1e45 the
+    # drift's inf * 0 gave a NaN verdict. Neither is a verdict, so the radius
+    # is a domain error, with no warning on stderr; below it, a finite verdict
+    for radius, verdict in (("1e30", True), ("1e40", False), ("1e45", False), ("1e60", False)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, err = run_main(
+                ["verify-bounds", "--trials", "1000", "--radius", radius, *model], capsys
+            )
+        assert not seen, (radius, [str(w.message) for w in seen])
+        if verdict:
+            assert code == 0 and err == "", radius
+            assert math.isfinite(json.loads(out)["max_violation"])
+        else:
+            assert code == 2 and out == "", radius
+            error = json.loads(err)["error"]
+            assert error.startswith(f"radius {float(radius)} ") and "float64" in error
 
 
 def test_stdnorm_check_passes(capsys):

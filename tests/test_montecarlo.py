@@ -341,8 +341,7 @@ def test_x3_samples_are_the_cascade_solvers_x3_at_tau():
         axis = build_axis_aligned(ModelParams(tau=tau))
         k_tau = grid.nearest_index(axis.params.tau)
         gp = bumps.eval(axis.g, grid.times, 1)
-        samples = np.empty(300)
-        montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 9, 0, 300, samples)
+        samples = montecarlo._x3_at_tau(grid, gp, k_tau, 9, 0, 300)
         w = brownian_values_batch(grid, 1, 9, 0, 300)[:, :, 0]
         x3 = solve_cascade_batch(axis, grid, w, np.zeros(5))[:, k_tau, 2]
         assert np.array_equal(samples, x3), tau
@@ -382,8 +381,7 @@ def test_discrete_x3_law_is_gaussian_with_variance_one_plus_order_dt2():
         errors.append(err)
         if steps == 2048:
             # the weights reproduce the sampled check's X3(tau) path by path
-            samples = np.empty(8)
-            montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 5, 0, 8, samples)
+            samples = montecarlo._x3_at_tau(grid, gp, k_tau, 5, 0, 8)
             w = brownian_values_batch(grid, 1, 5, 0, 8, keep=k_tau)[:, :, 0]
             assert np.allclose(np.diff(w, axis=1) @ weights, samples, rtol=0, atol=1e-13)
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
@@ -398,31 +396,82 @@ def test_stdnormality_passes_at_moderate_sample_size():
     assert rep.params["ks"] <= rep.params["ks_critical_1pct"]
 
 
+def _x3_at_tau_reference(axis, grid, seed, n_paths):
+    """X3(tau) of paths 0..n_paths-1 in one shot: the paths' first k_tau
+    steps drawn whole, and the solver's running trapezoid over them."""
+    k_tau = grid.nearest_index(axis.params.tau)
+    gp = bumps.eval(axis.g, grid.times, 1)
+    w = brownian_values_batch(grid, 1, seed, 0, n_paths, keep=k_tau)[:, :, 0]
+    x3 = np.empty_like(w)
+    _x3_trapezoid(gp[: k_tau + 1], w, grid.dt, 0.0, x3)
+    return x3[:, -1]
+
+
 def test_stdnormality_is_chunk_size_invariant(monkeypatch):
-    for tau in (0.5, 0.8):  # at 0.8, X3(tau) reads sines too
+    # every sample's bits against the one-shot reference, in blocks of paths
+    # and time slabs of several sizes. At tau = 0.8 X3(tau) reads sines too
+    # (on 257 steps, an odd count, the pairs stop short of the grid); at
+    # tau = 0.2 on 2 or 4 steps, tau falls on step 0 or 1. 4097, 4098 and
+    # 8193 paths leave tails of 1, 2 and 1 path after blocks of 4096, and
+    # a lone path joins the block before it
+    for tau, steps in ((0.5, 256), (0.8, 256), (0.8, 257), (0.2, 2), (0.2, 4)):
         axis = build_axis_aligned(ModelParams(tau=tau))
-        k_tau = TimeGrid(T=1.0, steps=256).nearest_index(tau)
-        a = stdnormality_test(axis, 300, master_seed=5, steps=256)
-        # paths per block; 13 leaves a one-path tail, and a one-path block
-        # must sum in cumsum's order, where numpy's reduction sums pairwise
-        for block in (1, 7, 13, 1024):
-            monkeypatch.setattr(montecarlo, "_STDNORM_BLOCK_STEPS", block * k_tau)
-            b = stdnormality_test(axis, 300, master_seed=5, steps=256)
-            assert a.to_json() == b.to_json(), (tau, block)
+        grid = TimeGrid(T=1.0, steps=steps)
+        k_tau = grid.nearest_index(tau)
+        gp = bumps.eval(axis.g, grid.times, 1)
+        monkeypatch.undo()
+        report = stdnormality_test(axis, 300, master_seed=5, steps=steps).to_json()
+        refs = {}
+        for n_paths, block, slab in (
+            (300, 1, 1000), (300, 7, 3), (300, 13, 1), (300, 1024, 8), (300, 1024, 1000),
+            (4097, 4096, 8), (4098, 4096, 3), (8193, 4096, 1), (8193, 4096, 1000),
+        ):
+            if n_paths not in refs:
+                refs[n_paths] = _x3_at_tau_reference(axis, grid, 5, n_paths).view(np.int64)
+            monkeypatch.setattr(montecarlo, "_STDNORM_BLOCK_PATHS", block)
+            monkeypatch.setattr(montecarlo, "_STDNORM_SLAB_STEPS", slab)
+            got = montecarlo._x3_at_tau(grid, gp, k_tau, 5, 0, n_paths).view(np.int64)
+            assert np.array_equal(got, refs[n_paths]), (tau, steps, n_paths, block, slab)
+            if block >= 1024:  # a range that starts past path 0
+                lo = n_paths // 3
+                got = montecarlo._x3_at_tau(grid, gp, k_tau, 5, lo, n_paths).view(np.int64)
+                assert np.array_equal(got, refs[n_paths][lo:]), (tau, steps, n_paths, slab)
+            if (n_paths, block) == (300, 13):
+                b = stdnormality_test(axis, 300, master_seed=5, steps=steps).to_json()
+                assert b == report, (tau, steps)
 
 
-def test_x3_at_tau_on_step_0_or_1_is_zero_in_any_block():
+def test_stdnormality_memory_does_not_grow_with_k_tau():
+    # no (k_tau + 1) x block workspace: the traced peak stays under the
+    # samples plus a fixed allowance for the slab buffers and the KS
+    # statistic's sorted copies, on a grid with four times the steps to tau
+    axis = build_axis_aligned(ModelParams(tau=0.125))
+    n_paths, allowance = 40_000, 4 << 20
+    stdnormality_test(axis, 2, master_seed=3, steps=8)  # imports scipy.special
+    peaks = []
+    for steps in (2048, 8192):
+        tracemalloc.start()
+        try:
+            stdnormality_test(axis, n_paths, master_seed=3, steps=steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < n_paths * 8 + allowance, peaks
+    assert peaks[1] - peaks[0] < 256 << 10, peaks
+
+
+def test_x3_at_tau_on_step_0_or_1_is_zero_in_any_block(monkeypatch):
     # tau = 0.2 on a 2- or 4-step grid: an empty or one-step trapezoid whose
-    # g' vanishes, in blocks of one path and of three
+    # g' vanishes, for one path and for three in blocks of one and of three
     axis = build_axis_aligned(ModelParams(tau=0.2))
     for steps in (2, 4):
         grid = TimeGrid(T=1.0, steps=steps)
         k_tau = grid.nearest_index(0.2)
         gp = bumps.eval(axis.g, grid.times, 1)
-        for n in (1, 3):
-            samples = np.full(n, np.nan)
-            montecarlo._x3_at_tau_chunk(grid, gp, k_tau, 5, 0, n, samples)
-            assert np.array_equal(samples, np.zeros(n)), (steps, n)
+        for n, block in ((1, 1), (3, 1), (3, 3)):
+            monkeypatch.setattr(montecarlo, "_STDNORM_BLOCK_PATHS", block)
+            samples = montecarlo._x3_at_tau(grid, gp, k_tau, 5, 0, n)
+            assert np.array_equal(samples, np.zeros(n)), (steps, n, block)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])
