@@ -5,7 +5,9 @@ and both solvers (among them a one-start cascade ``simulate`` and Euler
 sweeps with a general v and delta at d = 7, tamed and untamed, with two
 threads, and at d = 9 with m = 2, and a d = 7 ``verify-bounds`` whose
 trials end in a one-row tail of the sampled checks' row blocks, and
-``stdnorm-check`` at a tau past T/2 and with a one-path tail) and
+``stdnorm-check`` at a tau past T/2 and with a one-path tail, and
+``transform-check`` at d = 9 with m = 2 and on one path, and
+``variation-check`` on 769 steps, one past three windows of 256) and
 models other than the default (the gentle n = 2 model on width-1 supports,
 and narrow supports at tau = 0.2, T = 0.6), so the bump normalizations and
 kappa_t in ``sweep_summary.json`` are compared too. Each runs
@@ -65,7 +67,12 @@ CONFIGS = {
     "sweep-em-eps-list": ["sweep", "--solver", "em", "--n-paths", "300", "--eps",
                           "0.3,0.05,0.001", *_DT512],
     "transform-check-d7": ["transform-check", "--paths", "8", *_V7],
+    "transform-check-d9-m2": ["transform-check", "--paths", "4", *_V9],
+    # one path runs the Euler loop as two equal rows
+    "transform-check-paths1": ["transform-check", "--paths", "1", *_V7],
     "variation-check": ["variation-check", "--paths", "4", "--dt", "0.000244140625"],
+    # 769 = 3 * 256 + 1 steps: the last window of 256 steps leaves a one-step tail
+    "variation-check-odd-steps": ["variation-check", "--paths", "3", "--dt", "0.0013003901170351106"],
     "verify-bounds-gentle": ["verify-bounds", "--trials", "2000", *_GENTLE],
     # two full blocks of the sampled checks and a one-row tail
     "verify-bounds-d7": ["verify-bounds", "--trials", "8193", *_V7],

@@ -62,6 +62,12 @@ _FIELD_TYPES = {
 # size keys, each checked by the commands that read it (validate)
 _LOWER_BOUNDS = {"dt": 0, "n_paths": 1, "threads": 0}
 
+# the most steps a grid and the most epsilons a sweep may plan: validate
+# refuses more before any array is built (the largest in use are 32768
+# steps and 6 epsilons)
+_MAX_STEPS = 2**20
+_MAX_EPSILONS = 1000
+
 
 @dataclass
 class ExperimentConfig:
@@ -105,6 +111,10 @@ class ExperimentConfig:
                 raise ConfigError(f"need {key} > {low}, got {value!r}")
         if "n" in keys:
             self.model_params()
+        if "dt" in keys:  # the budget; whether dt divides T is checked at the grid
+            self._planned_steps()
+        if "eps" in keys:  # the sweep's epsilon flags set eps_grid
+            self.epsilons()
 
     def model_params(self) -> model_mod.ModelParams:
         return model_mod.ModelParams(
@@ -119,8 +129,18 @@ class ExperimentConfig:
             delta=None if self.delta is None else np.asarray(self.delta, dtype=float),
         )
 
+    def _planned_steps(self) -> float:
+        """T / dt, refused past _MAX_STEPS."""
+        planned = self.T / self.dt
+        if not planned < _MAX_STEPS + 0.5:
+            raise ConfigError(
+                f"dt={self.dt} plans {planned:.6g} steps over T={self.T}, "
+                f"more than {_MAX_STEPS}"
+            )
+        return planned
+
     def steps(self) -> int:
-        s = round(self.T / self.dt)
+        s = round(self._planned_steps())
         if s < 1 or abs(s * self.dt - self.T) > 1e-9 * self.T:
             raise ConfigError(f"dt={self.dt} does not divide horizon T={self.T}")
         return s
@@ -138,9 +158,15 @@ class ExperimentConfig:
                 raise ConfigError(f"eps_grid ladder missing key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad eps_grid ladder {grid}") from exc
-            if stop < start or per <= 0:
+            if not (start <= stop and per > 0):
                 raise ConfigError(f"bad eps_grid ladder {grid}")
-            count = int(round((stop - start) * per)) + 1
+            span = (stop - start) * per
+            if not span < _MAX_EPSILONS - 0.5:
+                raise ConfigError(
+                    f"eps_grid ladder {grid} plans {span + 1:.6g} epsilons, "
+                    f"more than {_MAX_EPSILONS}"
+                )
+            count = int(round(span)) + 1
             expo = start + np.arange(count) / per
             return np.exp(-expo)
         try:
@@ -149,6 +175,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad eps_grid {grid!r}") from exc
         if eps.ndim != 1 or len(eps) < 1:
             raise ConfigError(f"bad eps_grid {grid!r}")
+        if len(eps) > _MAX_EPSILONS:
+            raise ConfigError(f"eps_grid has {len(eps)} epsilons, more than {_MAX_EPSILONS}")
         return eps
 
 
@@ -316,12 +344,13 @@ def cmd_transform_check(config: ExperimentConfig, args) -> int:
     return _emit(transform_equivalence_report(config, n_paths=args.paths, seed=config.seed))
 
 
-def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per path, the largest Euclidean distance over time between two (P, K+1,
-    d) path arrays, one path at a time: no (P, K+1, d) temporary. A
-    non-finite path gives inf or nan, without a warning."""
+def _sup_distances(a: np.ndarray, b: np.ndarray, sup: np.ndarray) -> None:
+    """Fold into sup, per path, the largest Euclidean distance over time
+    between two (P, k, d) blocks of paths. np.maximum carries NaN and inf, so
+    over the blocks of a whole history sup ends as np.max over that history
+    would, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([np.linalg.norm(x - y, axis=1).max() for x, y in zip(a, b)])
+        np.maximum(sup, np.linalg.norm(a - b, axis=-1).max(axis=-1), out=sup)
 
 
 def transform_equivalence_report(
@@ -341,11 +370,18 @@ def transform_equivalence_report(
     x0 = gm.B @ y0 + params.v
 
     wf = paths_mod.brownian_values_batch(fine, params.m, seed, 0, n_paths)
-    ref = solvers.solve_cascade_general(gm, fine, wf[:, :, 0], y0)
-    em_f = solvers.solve_em_batch(gm, fine, wf, x0, taming=False)
-    em_c = solvers.solve_em_batch(gm, coarse, wf[:, ::2], x0, taming=False)
-    per_path_fine = _sup_distances(ref, em_f)
-    per_path_coarse = _sup_distances(ref[:, ::2], em_c)
+    # the reference and both Euler solves run one window of steps at a time,
+    # each from the window before; only the per-path sups outlive a window
+    windows = solvers._step_windows(fine.steps)
+    coarse_windows = [(k0 // 2, k1 // 2) for k0, k1 in windows]  # k0 is even
+    ref = solvers._cascade_general_blocks(gm, fine, wf[:, :, 0], y0, windows)
+    em_f = solvers._em_blocks(gm, fine.dt, wf, x0, windows, taming=False)
+    em_c = solvers._em_blocks(gm, coarse.dt, wf[:, ::2], x0, coarse_windows, taming=False)
+    per_path_fine = np.full(n_paths, -np.inf)
+    per_path_coarse = np.full(n_paths, -np.inf)
+    for r, f, c in zip(ref, em_f, em_c):
+        _sup_distances(r, f, per_path_fine)
+        _sup_distances(r[:, ::2], c, per_path_coarse)
     max_fine = float(per_path_fine.max())
 
     # step-halving ratio on per-path means: the max over paths and times is
@@ -393,10 +429,13 @@ def variation_fd_report(
     h /= np.linalg.norm(h)
 
     w = paths_mod.brownian_values_batch(grid, params.m, seed, 0, n_paths)
-    # both starts in one Euler loop on the shared paths, as two separate solves
+    # both starts in one Euler loop on the shared paths, as two separate
+    # solves, one window of steps at a time; J follows each window of X
     starts = np.broadcast_to(np.stack([x0, x0 + fd_eps * h])[:, None], (2, n_paths, params.d))
-    X, Xh = solvers.solve_em_batch(gm, grid, w, starts, taming=False)
-    J = solvers.solve_variation_batch(gm, grid, X, h)
+    J = np.tile(h, (n_paths, 1))
+    windows = solvers._step_windows(grid.steps)
+    for X, Xh in solvers._em_blocks(gm, grid.dt, w, starts, windows, taming=False):
+        J = solvers._variation_steps(gm, grid.dt, X, J)
     fd = (Xh[:, -1] - X[:, -1]) / fd_eps
     denom = np.maximum(np.linalg.norm(J, axis=1), 1.0)
     worst = float(np.max(np.linalg.norm(fd - J, axis=1) / denom))

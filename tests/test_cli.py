@@ -156,6 +156,43 @@ def test_main_bad_dt(capsys):
     assert "does not divide" in json.loads(err)["error"]
 
 
+_TOO_MANY_EPS = ",".join(["0.1"] * (cli._MAX_EPSILONS + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", "--dt", "1e-9"], "dt"),
+        (["stdnorm-check", "--dt", "1e-9"], "dt"),
+        (["transform-check", "--dt", "1e-9"], "dt"),
+        (["variation-check", "--dt", "4.76837158203125e-07"], "dt"),  # 2^21 steps
+        (["sweep", "--dt", "5e-324"], "dt"),  # T/dt overflows to inf
+        (["sweep", "--eps-per-decade", "1e9"], "eps_grid"),
+        (["sweep", "--eps-stop-exponent", "inf"], "eps_grid"),
+        (["sweep", "--eps", _TOO_MANY_EPS], "eps_grid"),
+    ],
+)
+def test_sizes_past_the_budget_exit_2_at_validation(monkeypatch, capsys, argv, key):
+    # refused by validate: the command itself, which would build the grid,
+    # the epsilon ladder or the paths, never runs
+    monkeypatch.setitem(cli._COMMANDS, argv[0], _raiser(AssertionError("command ran")))
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"].startswith(key)
+
+
+def test_sizes_at_the_budget_pass_validation():
+    config = cli.ExperimentConfig(dt=1.0 / cli._MAX_STEPS)
+    config.validate({"dt"})
+    assert config.steps() == cli._MAX_STEPS
+    ladder = {"start_exponent": 1, "stop_exponent": cli._MAX_EPSILONS}
+    config = cli.ExperimentConfig(eps_grid=ladder)
+    config.validate({"eps"})
+    assert len(config.epsilons()) == cli._MAX_EPSILONS
+    config = cli.ExperimentConfig(eps_grid=[0.1] * cli._MAX_EPSILONS)
+    assert len(config.epsilons()) == cli._MAX_EPSILONS
+
+
 @pytest.mark.parametrize(
     "entry, flags",
     [
@@ -383,7 +420,7 @@ def _raiser(exc):
     [
         (["sweep", "--n-paths", "2"], montecarlo, "sweep_epsilon",
          montecarlo.EstimationFailedError("all 2 paths aborted")),
-        (["transform-check", "--paths", "2"], solvers, "solve_em_batch",
+        (["transform-check", "--paths", "2"], solvers, "_em_blocks",
          solvers.SolverExplosionError(7)),
         (["simulate", "--solver", "em"], solvers, "solve_em_batch",
          solvers.SolverExplosionError(3)),

@@ -211,7 +211,7 @@ def test_em_commutes_with_affine_conjugation(axis):
 def _prefix_steps(K: int) -> list:
     """Steps k at which a test reads J, as the final J of the prefix X[:, :k+1]:
     the first step, both sides of the Jacobian block edge, and the last."""
-    b = solvers._JAC_BLOCK
+    b = solvers._BLOCK_STEPS
     return sorted({k for k in (1, b - 1, b, b + 1, K) if 1 <= k <= K})
 
 
@@ -282,7 +282,7 @@ def conjugated():
 def test_variation_matches_per_step_jacobians_bit_for_bit(conjugated, n_paths, past_block):
     # K below, at and one past the Jacobian block length
     gm, rng = conjugated, np.random.default_rng(41)
-    steps = solvers._JAC_BLOCK + past_block
+    steps = solvers._BLOCK_STEPS + past_block
     grid = TimeGrid(T=2.0, steps=steps)
     w = brownian_values_batch(grid, 1, 41, 0, n_paths)
     x0 = gm.B @ rng.uniform(-0.3, 0.3, 7) + gm.params.v
